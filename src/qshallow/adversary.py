@@ -38,8 +38,19 @@ from .circuits import (
     circuit_sha256,
     is_single_qubit_z_circuit,
 )
-from .reference import OpKind, ReferenceOp, conjugate_parity_to_fanout
-from .sim import PartialState, adjoint_gate, apply_gate, read_target, run
+from .reference import OpKind, conjugate_parity_to_fanout
+from .sim import (
+    PartialState,
+    adjoint_gate,
+    apply_layer,
+    block_columns,
+    column_probabilities,
+    compile_layers,
+    read_target,
+    run,
+    tensor_indices,
+)
+from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
 READING_TOL = 1e-9
 STATE_TOL = 1e-10
@@ -236,7 +247,7 @@ def kill_step(s: KillState, c: Circuit) -> KillState:
             )
         )
 
-    psi = s.psi
+    pulled = []
     for j, g in enumerate(layer.gates):
         if j in killed_gate_indices:
             continue
@@ -247,8 +258,8 @@ def kill_step(s: KillState, c: Circuit) -> KillState:
                     f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
                     f" {sorted(support)} vs committed {sorted(committed)}"
                 )
-            psi = apply_gate(adjoint_gate(g), psi)
-    psi = psi.extend_zeros(recruited)
+            pulled.append(adjoint_gate(g))
+    psi = apply_layer(Layer(pulled), s.psi).extend_zeros(recruited)
 
     k = s.k + 1
     _assert_bound(s.mode, c, k, committed)
@@ -298,6 +309,13 @@ class VerifyKillResult:
     max_state_diff: float
 
 
+def _tensor_columns(rest: np.ndarray, own: np.ndarray, witness: np.ndarray) -> np.ndarray:
+    """Block whose column j is (rest column j) tensor the witness."""
+    block = rest[own]
+    block *= witness
+    return block
+
+
 def verify_kill(
     c: Circuit, s: KillState, trials: int = 20, seed: int = 0
 ) -> VerifyKillResult:
@@ -305,35 +323,42 @@ def verify_kill(
     ``trials`` random unit states over the uncommitted wires, simulate the
     processed layer suffix on (rest tensor psi) twice -- once with killed
     gates dropped, once with every gate in place -- and demand a target
-    reading of at most 1e-9 and matching states from both runs."""
+    reading of at most 1e-9 and matching states from both runs.
+
+    The rest states are drawn from ``seed`` in trial order and run as
+    columns of one block at a time, each through both compiled suffixes."""
     rng = np.random.default_rng(seed)
     from_layer = c.depth() - s.k
-    stripped = strip_killed(c, s.killed)
-    m = MeasurementSpec(c.target)
+    wires, own, theirs = tensor_indices(s.rest, s.psi.wires)
+    full = compile_layers(c.layers[from_layer:], wires)
+    stripped = compile_layers(strip_killed(c, s.killed).layers[from_layer:], wires)
+    target = wires.index(c.target)
+    witness = s.psi.amps[theirs][:, None]
 
-    rest_states = [PartialState.zero(s.rest)] if s.rest else [None]
-    for _ in range(trials):
-        rest_states.append(PartialState.random(s.rest, rng) if s.rest else None)
-
+    count = trials + 1
+    step = block_columns(len(wires))
     readings: list[tuple[float, float]] = []
-    max_p1 = 0.0
     max_diff = 0.0
-    ok = True
-    for rest_state in rest_states:
-        start = s.psi if rest_state is None else rest_state.tensor(s.psi)
-        out_full = run(c, start, from_layer=from_layer)
-        out_killed = run(stripped, start, from_layer=from_layer)
-        p_full = read_target(out_full, m).p1
-        p_killed = read_target(out_killed, m).p1
-        diff = float(np.abs(out_full.amps - out_killed.amps).max())
-        readings.append((p_full, p_killed))
-        max_p1 = max(max_p1, p_full, p_killed)
-        max_diff = max(max_diff, diff)
-        if p_full > READING_TOL or p_killed > READING_TOL or diff > STATE_TOL:
-            ok = False
+    for first in range(0, count, step):
+        rest = np.zeros((2 ** len(s.rest), min(step, count - first)), dtype=complex)
+        for j in range(rest.shape[1]):
+            if first + j == 0 or not s.rest:
+                rest[0, j] = 1.0  # the all-zeros rest state, or no rest wires
+            else:
+                rest[:, j] = PartialState.random(s.rest, rng).amps
+        out_full = full.apply(_tensor_columns(rest, own, witness))
+        out_killed = stripped.apply(_tensor_columns(rest, own, witness))
+        p_full = column_probabilities(out_full, target)
+        p_killed = column_probabilities(out_killed, target)
+        out_killed -= out_full
+        diff = np.abs(out_killed).max(axis=0)
+        readings.extend(zip(p_full.tolist(), p_killed.tolist()))
+        max_diff = max(max_diff, float(diff.max()))
+    max_p1 = max(max(pair) for pair in readings)
+    ok = max_p1 <= READING_TOL and max_diff <= STATE_TOL
     return VerifyKillResult(
         ok=ok,
-        trials=len(rest_states),
+        trials=count,
         readings=tuple(readings),
         max_p1=max_p1,
         max_state_diff=max_diff,
@@ -560,33 +585,3 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     if abs(ref0 + ref1 - 1.0) > READING_TOL:
         return False
     return max(ref0, ref1) >= 0.5 - READING_TOL
-
-
-def robust_check(c: Circuit, against: ReferenceOp) -> bool:
-    """Clean computation on every ancilla basis setting: for each input basis
-    x and ancilla basis y, the circuit must map |x>|y> to (op|x>)|y> up to a
-    per-input global phase. Limited to n + a <= 10."""
-    if c.wires > 10:
-        raise ValueError("robust check limited to n + a <= 10")
-    if c.n != against.n + 1:
-        raise ValueError(
-            f"circuit has {c.n} non-ancilla wires but op of arity {against.n}"
-            f" needs {against.n + 1}"
-        )
-    wires = tuple(range(c.wires))
-    dim_full = 2 ** c.wires
-    for x in range(2 ** c.n):
-        expected_low = against.basis_map(x)
-        for y in range(2 ** c.a):
-            start = x | (y << c.n)
-            amps = np.zeros(dim_full, dtype=complex)
-            amps[start] = 1.0
-            out = run(c, PartialState(wires, amps)).amps
-            expected_index = expected_low | (y << c.n)
-            ref = out[expected_index]
-            phase = ref / abs(ref) if abs(ref) > 1e-12 else 1.0
-            expected = np.zeros(dim_full, dtype=complex)
-            expected[expected_index] = phase
-            if float(np.abs(out - expected).max()) > READING_TOL:
-                return False
-    return True

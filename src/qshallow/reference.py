@@ -41,16 +41,17 @@ class ReferenceOp:
     def wires(self) -> tuple[int, ...]:
         return tuple(range(self.n + 1))
 
-    def basis_map(self, index: int) -> int:
-        """Image of a basis state given as an integer with bit i = wire i."""
-        b_bit = (index >> self.n) & 1
+    def basis_map(self, index):
+        """Image of a basis state given as an integer with bit i = wire i.
+        Also maps an int64 array of such integers elementwise; a Python int
+        maps to a Python int."""
         if self.kind == "parity":
             par = 0
             for i in range(self.n):
                 par ^= (index >> i) & 1
             return index ^ (par << self.n)
-        x_mask = (1 << self.n) - 1
-        return index ^ (x_mask if b_bit else 0)
+        b_bit = (index >> self.n) & 1
+        return index ^ (b_bit * ((1 << self.n) - 1))
 
 
 def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
@@ -195,14 +196,15 @@ class TradeoffBound:
 def tradeoff_bound(n: int, a: int, gate: OpKind) -> TradeoffBound:
     """Depth lower bounds: parity needs depth >= 2*log2(n/(a+1)) against
     unbounded-arity Toffoli/Z circuits and >= log2(n) against bounded-arity
-    circuits; fanout sheds 2 layers from each (its Hadamard conjugation)."""
+    circuits; fanout sheds 2 layers from each (its Hadamard conjugation),
+    never going below 0."""
     if n < 1 or a < 0:
         raise ValueError(f"need n >= 1, a >= 0, got n={n}, a={a}")
     unbounded = 2.0 * math.log2(n / (a + 1))
     bounded = math.log2(n)
     if gate == "fanout":
         unbounded = max(unbounded - 2.0, 0.0)
-        bounded = bounded - 2.0
+        bounded = max(bounded - 2.0, 0.0)
     elif gate != "parity":
         raise ValueError(f"unknown gate {gate!r}")
     return TradeoffBound(

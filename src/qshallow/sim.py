@@ -8,6 +8,25 @@ Amplitude indexing convention: the wire set is kept sorted ascending and bit
 So for wires (2, 5, 9), index 0b011 is the basis state with wires 2 and 5 set
 to 1 and wire 9 set to 0.
 
+There is one simulation core. :func:`compile_layers` compiles a slice of
+layers once, for one wire ordering, into parts: each layer becomes a +-1
+diagonal for all of its Z-gates (:class:`SignFlip`), an index permutation for
+all of its Toffoli/Cnot gates (:class:`Gather`), and one (bit position, 2x2
+matrix) :class:`Contraction` per single-qubit gate. The parts apply to a
+*block*: a C-ordered complex array of shape ``(2**w, batch)`` whose column j
+is one state over the w wires, so the batch index varies fastest in memory.
+The block and one scratch buffer of its shape serve as ping-pong buffers,
+each part is applied through :func:`apply_gate`, and each column's norm is
+checked once, after the last part. :func:`run`, :func:`apply_layer` and
+:func:`apply_gate` on a :class:`PartialState` are batch-of-1 wrappers over
+it; loops over many states (basis inputs, random trials) hand it blocks of
+at most ``BLOCK_AMPS`` amplitudes each, or one column when a single state is
+larger.
+
+No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
+:class:`PartialState` constructors, :func:`full_input_state` and the kernel
+refuse such widths with ``ValueError``.
+
 Gates are refused when they touch wires outside the state, with one audited
 exception: a Z-gate may have wires outside the state if at least one of those
 wires is declared fixed to |0> by the caller, in which case the gate acts as
@@ -17,7 +36,7 @@ the identity (its all-ones sign condition can never fire).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,10 +44,60 @@ from .circuits import Circuit, Cnot, Gate, Layer, MeasurementSpec, SingleQubit, 
 
 NORM_TOL = 1e-10
 EXACT_ZERO_P1 = 1e-9
+MAX_STATE_WIRES = 24  # 2**24 amplitudes = 256 MiB per state
+BLOCK_AMPS = 2**15  # amplitudes per block handed to the kernel by batched loops
+# A contraction whose inner extent 2**p * batch is at most this runs as one
+# gemm against kron(U^T, I) instead of a stacked 2x2 matmul, which is several
+# times slower there (each 2x2 product covers too few amplitudes).
+KRON_MAX_INNER = 16
 
 
 class CoverageError(ValueError):
     """A gate touches wires that the state does not cover."""
+
+
+def check_width(width: int) -> None:
+    """Refuse, before anything is allocated, a state over too many wires."""
+    if width > MAX_STATE_WIRES:
+        raise ValueError(
+            f"a state over {width} wires exceeds the {MAX_STATE_WIRES}-wire simulation limit"
+        )
+
+
+def tensor_indices(
+    first: tuple[int, ...], second: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Sorted union of two disjoint wire tuples and, for every amplitude index
+    over it, the matching index into each factor's amplitudes."""
+    overlap = set(first) & set(second)
+    if overlap:
+        raise ValueError(f"tensor factors share wires {sorted(overlap)}")
+    merged = tuple(sorted(first + second))
+    check_width(len(merged))
+    index = np.arange(2 ** len(merged))
+    own = np.zeros_like(index)
+    theirs = np.zeros_like(index)
+    for p, w in enumerate(merged):
+        bit = (index >> p) & 1
+        if w in first:
+            own |= bit << first.index(w)
+        else:
+            theirs |= bit << second.index(w)
+    return merged, own, theirs
+
+
+def _column_mass(x: np.ndarray) -> np.ndarray:
+    """Sum of |amplitude|^2 over every axis but the last, without a
+    temporary array of the input's size."""
+    axes = "ijklm"[: x.ndim - 1] + "b"
+    spec = f"{axes},{axes}->b"
+    return np.einsum(spec, x.real, x.real) + np.einsum(spec, x.imag, x.imag)
+
+
+def column_probabilities(block: np.ndarray, position: int, value: int = 1) -> np.ndarray:
+    """Per column of a block: the probability that the wire at bit
+    ``position`` reads ``value``."""
+    return _column_mass(block.reshape(-1, 2, 1 << position, block.shape[1])[:, value])
 
 
 @dataclass(frozen=True)
@@ -59,15 +128,13 @@ class PartialState:
 
     @staticmethod
     def zero(wires: Iterable[int]) -> "PartialState":
-        wires = tuple(sorted(wires))
-        amps = np.zeros(2 ** len(wires), dtype=complex)
-        amps[0] = 1.0
-        return PartialState(wires, amps)
+        return PartialState.basis(wires, {})
 
     @staticmethod
     def basis(wires: Iterable[int], bits: dict[int, int]) -> "PartialState":
         """Basis state with the given wire -> bit assignment (missing wires are 0)."""
         wires = tuple(sorted(wires))
+        check_width(len(wires))
         index = 0
         for p, w in enumerate(wires):
             if bits.get(w, 0):
@@ -80,6 +147,7 @@ class PartialState:
     def random(wires: Iterable[int], rng: np.random.Generator) -> "PartialState":
         """Haar-ish random unit vector (normalized complex Gaussian)."""
         wires = tuple(sorted(wires))
+        check_width(len(wires))
         raw = rng.standard_normal(2 ** len(wires)) + 1j * rng.standard_normal(
             2 ** len(wires)
         )
@@ -96,19 +164,7 @@ class PartialState:
 
     def tensor(self, other: "PartialState") -> "PartialState":
         """Tensor product with a state over disjoint wires."""
-        overlap = set(self.wires) & set(other.wires)
-        if overlap:
-            raise ValueError(f"tensor factors share wires {sorted(overlap)}")
-        merged = tuple(sorted(self.wires + other.wires))
-        index = np.arange(2 ** len(merged))
-        own = np.zeros_like(index)
-        theirs = np.zeros_like(index)
-        for p, w in enumerate(merged):
-            bit = (index >> p) & 1
-            if w in self.wires:
-                own |= bit << self.wires.index(w)
-            else:
-                theirs |= bit << other.wires.index(w)
+        merged, own, theirs = tensor_indices(self.wires, other.wires)
         return PartialState(merged, self.amps[own] * other.amps[theirs])
 
     def extend_zeros(self, new_wires: Iterable[int]) -> "PartialState":
@@ -120,10 +176,8 @@ class PartialState:
 
     def restricted_probability(self, wire: int, value: int) -> float:
         """Total probability mass with the given wire equal to value."""
-        p = self.position(wire)
-        bit = (np.arange(self.amps.size) >> p) & 1
-        mask = bit == value
-        return float(np.sum(np.abs(self.amps[mask]) ** 2))
+        column = self.amps.reshape(-1, 1)
+        return float(column_probabilities(column, self.position(wire), value)[0])
 
 
 @dataclass(frozen=True)
@@ -145,62 +199,210 @@ def adjoint_gate(g: Gate) -> Gate:
     return g
 
 
-def apply_gate(
-    g: Gate, s: PartialState, fixed_zero: frozenset[int] = frozenset()
-) -> PartialState:
-    """Apply one gate. ``fixed_zero`` lists wires outside the state that the
-    caller promises are |0>; a Z-gate with such a wire acts as the identity."""
-    if isinstance(g, ZGate):
-        outside = [w for w in g.wires if w not in s.wires]
-        if outside:
-            if any(w in fixed_zero for w in outside):
-                return s
-            raise CoverageError(
-                f"z-gate wires {outside} outside state over {s.wires} and not fixed to 0"
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Block:
+    """States over ``wires`` as the columns of a C-ordered ``(2**w, batch)``
+    array, and a scratch array of the same shape. A part that cannot work in
+    place writes into the scratch array, and the two swap roles."""
+
+    wires: tuple[int, ...]
+    amps: np.ndarray
+    scratch: np.ndarray
+
+    def swap(self) -> None:
+        self.amps, self.scratch = self.scratch, self.amps
+
+
+@dataclass(frozen=True)
+class SignFlip:
+    """Every Z-gate of a layer, as one +-1 diagonal over the amplitude index."""
+
+    signs: np.ndarray
+
+    def apply(self, b: Block) -> None:
+        b.amps *= self.signs[:, None]
+
+
+@dataclass(frozen=True)
+class Gather:
+    """Every Toffoli/Cnot of a layer, as one permutation:
+    ``out[i] = in[index[i]]``."""
+
+    index: np.ndarray
+
+    def apply(self, b: Block) -> None:
+        np.take(b.amps, self.index, axis=0, out=b.scratch, mode="clip")
+        b.swap()
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """One single-qubit gate: the 2x2 matrix ``u`` on bit ``position``."""
+
+    position: int
+    u: np.ndarray
+
+    def apply(self, b: Block) -> None:
+        inner = (1 << self.position) * b.amps.shape[1]
+        if inner <= KRON_MAX_INNER:
+            eye = np.eye(inner)
+            pair = (self.u.T[:, None, :, None] * eye[:, None, :]).reshape(2 * inner, 2 * inner)
+            np.matmul(
+                b.amps.reshape(-1, 2 * inner), pair, out=b.scratch.reshape(-1, 2 * inner)
             )
-        index = np.arange(s.amps.size)
-        ones = np.ones(s.amps.size, dtype=bool)
-        for w in g.wires:
-            ones &= ((index >> s.position(w)) & 1) == 1
-        amps = s.amps.copy()
-        amps[ones] = -amps[ones]
-        return PartialState(s.wires, amps)
-
-    if isinstance(g, SingleQubit):
-        p = s.position(g.wire)
-        m = len(s.wires)
-        # index = high * 2**(p+1) + bit * 2**p + low
-        tensor = s.amps.reshape(2 ** (m - 1 - p), 2, 2 ** p)
-        out = np.einsum("ab,hbl->hal", g.u, tensor)
-        return PartialState(s.wires, np.ascontiguousarray(out).reshape(-1))
-
-    if isinstance(g, (Toffoli, Cnot)):
-        if isinstance(g, Cnot):
-            controls, target = (g.control,), g.target
         else:
-            controls, target = g.controls, g.target
-        pt = s.position(target)
-        index = np.arange(s.amps.size)
-        active = np.ones(s.amps.size, dtype=bool)
-        for w in controls:
-            active &= ((index >> s.position(w)) & 1) == 1
-        lower = active & (((index >> pt) & 1) == 0)
-        src = index[lower]
-        dst = src + (1 << pt)
-        amps = s.amps.copy()
-        amps[src], amps[dst] = s.amps[dst], s.amps[src]
-        return PartialState(s.wires, amps)
+            np.matmul(
+                self.u, b.amps.reshape(-1, 2, inner), out=b.scratch.reshape(-1, 2, inner)
+            )
+        b.swap()
 
-    raise TypeError(f"unknown gate type {type(g).__name__}")
+
+Part = SignFlip | Gather | Contraction
+
+
+def _compile_layer(
+    gates: Sequence[Gate],
+    wires: tuple[int, ...],
+    position: dict[int, int],
+    index: np.ndarray,
+    fixed_zero: frozenset[int],
+) -> list[Part]:
+    """One layer's parts: its Z-gates, its Toffoli/Cnot gates and each of
+    its single-qubit gates. They commute, as gate supports within a layer
+    are disjoint."""
+
+    def bit(w: int) -> int:
+        try:
+            return position[w]
+        except KeyError:
+            raise CoverageError(f"wire {w} not covered by state over {wires}") from None
+
+    def all_ones(ws: Iterable[int]) -> np.ndarray:
+        mask = 0
+        for w in ws:
+            mask |= 1 << bit(w)
+        return (index & mask) == mask
+
+    flips = None
+    gather = None
+    contractions = []
+    for g in gates:
+        if isinstance(g, ZGate):
+            outside = [w for w in g.wires if w not in position]
+            if outside:
+                if any(w in fixed_zero for w in outside):
+                    continue
+                raise CoverageError(
+                    f"z-gate wires {outside} outside state over {wires} and not fixed to 0"
+                )
+            fire = all_ones(g.wires)
+            flips = fire if flips is None else flips ^ fire
+        elif isinstance(g, SingleQubit):
+            contractions.append(Contraction(bit(g.wire), g.u))
+        elif isinstance(g, (Toffoli, Cnot)):
+            controls = (g.control,) if isinstance(g, Cnot) else g.controls
+            flip_bit = 1 << bit(g.target)
+            step = np.where(all_ones(controls), flip_bit, 0)
+            gather = (index if gather is None else gather) ^ step
+        else:
+            raise TypeError(f"unknown gate type {type(g).__name__}")
+    parts: list[Part] = []
+    if flips is not None:
+        # float32 holds +-1 exactly, at half the memory of float64.
+        parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32)))
+    if gather is not None:
+        parts.append(Gather(gather))
+    return parts + contractions
+
+
+@dataclass(frozen=True)
+class CompiledLayers:
+    """A layer slice compiled for one wire ordering (bit p = ``wires[p]``),
+    as its parts in application order."""
+
+    wires: tuple[int, ...]
+    parts: tuple[Part, ...]
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """Run every column of a ``(2**w, batch)`` block through the slice.
+        The block is overwritten; use the returned array, which is either the
+        block or a scratch buffer of its shape."""
+        if (
+            block.ndim != 2
+            or block.shape[0] != 2 ** len(self.wires)
+            or block.dtype != complex
+            or not block.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"need a C-ordered complex block of {2 ** len(self.wires)} rows,"
+                f" got {block.dtype} {block.shape}"
+            )
+        b = Block(self.wires, block, np.empty_like(block))
+        for part in self.parts:
+            apply_gate(part, b)
+        norms = np.sqrt(_column_mass(b.amps))
+        bad = np.nonzero(np.abs(norms - 1.0) > NORM_TOL)[0]
+        if bad.size:
+            raise ValueError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
+        return b.amps
+
+
+def compile_layers(
+    layers: Sequence[Layer],
+    wires: Iterable[int],
+    adjoint: bool = False,
+    fixed_zero: frozenset[int] = frozenset(),
+) -> CompiledLayers:
+    """Compile layers (in application order) over a wire ordering, or their
+    adjoint (reversed order, per-gate adjoints) when ``adjoint``."""
+    wires = tuple(wires)
+    check_width(len(wires))
+    position = {w: p for p, w in enumerate(wires)}
+    index = np.arange(2 ** len(wires))
+    order = reversed(layers) if adjoint else layers
+    parts: list[Part] = []
+    for layer in order:
+        gates = [adjoint_gate(g) for g in layer.gates] if adjoint else layer.gates
+        parts += _compile_layer(gates, wires, position, index, fixed_zero)
+    return CompiledLayers(wires, tuple(parts))
+
+
+def block_columns(width: int) -> int:
+    """Columns per block for states over ``width`` wires (at least one)."""
+    check_width(width)
+    return max(1, BLOCK_AMPS >> width)
+
+
+def _run_state(compiled: CompiledLayers, s: PartialState) -> PartialState:
+    out = compiled.apply(s.amps.reshape(-1, 1).copy())
+    return PartialState(s.wires, out[:, 0])
+
+
+def apply_gate(
+    g: Gate | Part, s: PartialState | Block, fixed_zero: frozenset[int] = frozenset()
+) -> PartialState | Block:
+    """Apply one gate. ``fixed_zero`` lists wires outside the state that the
+    caller promises are |0>; a Z-gate with such a wire acts as the identity.
+
+    Every gate the simulator applies passes through here: the kernel calls
+    it with one compiled part and the :class:`Block` that the part updates
+    in place, so a profile of this function covers all simulation work."""
+    if isinstance(s, Block):
+        g.apply(s)
+        return s
+    return apply_layer(Layer((g,)), s, fixed_zero)
 
 
 def apply_layer(
     layer: Layer, s: PartialState, fixed_zero: frozenset[int] = frozenset()
 ) -> PartialState:
     """Apply every gate of a layer (order irrelevant: disjoint supports)."""
-    for g in layer.gates:
-        s = apply_gate(g, s, fixed_zero)
-    return s
+    return _run_state(compile_layers((layer,), s.wires, fixed_zero=fixed_zero), s)
 
 
 def run(
@@ -219,15 +421,22 @@ def run(
     """
     if to_layer is None:
         to_layer = c.depth() - 1
-    indices = range(from_layer, to_layer + 1)
-    if adjoint:
-        for i in reversed(indices):
-            for g in c.layers[i].gates:
-                state = apply_gate(adjoint_gate(g), state, fixed_zero)
-    else:
-        for i in indices:
-            state = apply_layer(c.layers[i], state, fixed_zero)
-    return state
+    layers = [c.layers[i] for i in range(from_layer, to_layer + 1)]
+    return _run_state(compile_layers(layers, state.wires, adjoint, fixed_zero), state)
+
+
+def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the whole circuit on basis states over all of its wires, given as
+    integers with bit w = wire w, one block at a time. Yields
+    ``(first, block)``: column j of the block is the output for
+    ``inputs[first + j]``. The caller may overwrite the block."""
+    compiled = compile_layers(c.layers, range(c.wires))
+    step = block_columns(c.wires)
+    for first in range(0, len(inputs), step):
+        chunk = inputs[first : first + step]
+        block = np.zeros((2**c.wires, len(chunk)), dtype=complex)
+        block[chunk, np.arange(len(chunk))] = 1.0
+        yield first, compiled.apply(block)
 
 
 def read_target(s: PartialState, m: MeasurementSpec) -> TargetReading:
@@ -238,7 +447,7 @@ def read_target(s: PartialState, m: MeasurementSpec) -> TargetReading:
 
 def full_input_state(c: Circuit, input_bits: dict[int, int]) -> PartialState:
     """Basis state over all wires of the circuit; unlisted wires (including
-    all ancillae) start as |0>."""
+    all ancillae) start as |0>. Refused beyond ``MAX_STATE_WIRES`` wires."""
     return PartialState.basis(range(c.wires), input_bits)
 
 
@@ -248,13 +457,10 @@ def dense_operator(c: Circuit, max_wires: int = 12) -> np.ndarray:
     w = c.wires
     if w > max_wires:
         raise ValueError(f"dense_operator limited to {max_wires} wires, circuit has {w}")
-    dim = 2 ** w
+    dim = 2**w
     out = np.empty((dim, dim), dtype=complex)
-    wires = tuple(range(w))
-    for j in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[j] = 1.0
-        out[:, j] = run(c, PartialState(wires, amps)).amps
+    for first, block in run_basis(c, np.arange(dim)):
+        out[:, first : first + block.shape[1]] = block
     return out
 
 

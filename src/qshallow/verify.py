@@ -1,6 +1,8 @@
-"""Brute-force ground truth: exact clean-computation checking and input
-sensitivity scans, used to validate constructions and certificates at desk
-scale.
+"""Brute-force ground truth: exact clean-computation checking (on
+ancillae-|0> inputs, or on every ancilla setting for the robust check) and
+input sensitivity scans, used to validate constructions and certificates at
+desk scale. The amplitude-level checks run their basis inputs through the
+simulator in batched blocks.
 
 A circuit *cleanly computes* a reference operator when, for every basis
 setting of the non-ancilla wires with all ancillae |0>, its output equals the
@@ -17,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Cnot, MeasurementSpec, Toffoli, is_permutation_circuit
-from .sim import PartialState, read_target, run
+from .sim import column_probabilities, run_basis
 from .reference import ReferenceOp
 
 AMPLITUDE_TOL = 1e-9
 PERMUTATION_CHECK_MAX_WIRES = 16  # op arity + ancillae, bit-level path
-DENSE_CHECK_MAX_WIRES = 10  # op arity + ancillae, amplitude path
+DENSE_CHECK_MAX_WIRES = 10  # op arity + ancillae, amplitude path; n + a for the robust check
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def _verify_clean_permutation(c: Circuit, op: ReferenceOp) -> VerifyResult:
     dim = 2 ** c.n
     inputs = np.arange(dim, dtype=np.int64)  # ancilla bits (>= n) start 0
     outputs = _permutation_images(c, inputs)
-    expected = np.array([op.basis_map(int(x)) for x in inputs], dtype=np.int64)
+    expected = op.basis_map(inputs)
     bad = np.nonzero(outputs != expected)[0]
     if bad.size == 0:
         return VerifyResult(ok=True, checked=dim, max_deviation=0.0)
@@ -73,35 +75,41 @@ def _verify_clean_permutation(c: Circuit, op: ReferenceOp) -> VerifyResult:
     )
 
 
-def _verify_clean_dense(c: Circuit, op: ReferenceOp, strict_phase: bool) -> VerifyResult:
-    wires = tuple(range(c.wires))
-    dim_in = 2 ** c.n
-    dim_full = 2 ** c.wires
+def _verify_clean_dense(
+    c: Circuit, op: ReferenceOp, strict_phase: bool, inputs: np.ndarray
+) -> VerifyResult:
+    """Amplitude-level check on the given basis inputs over all wires: input
+    x (ancilla bits included, as the high bits) must map to op's image of its
+    low n bits with the ancilla bits unchanged."""
+    low = (1 << c.n) - 1
+    expected = op.basis_map(inputs & low) | (inputs & ~low)
     max_dev = 0.0
     first_failure = None
-    ok = True
-    for x in range(dim_in):
-        amps = np.zeros(dim_full, dtype=complex)
-        amps[x] = 1.0  # ancilla bits are the high bits and start 0
-        out = run(c, PartialState(wires, amps)).amps
-        expected_index = op.basis_map(x)  # ancillae expected back at 0
+    for first, out in run_basis(c, inputs):
+        cols = np.arange(out.shape[1])
+        rows = expected[first : first + out.shape[1]]
         if strict_phase:
             phase = 1.0
         else:
-            ref = out[expected_index]
-            phase = ref / abs(ref) if abs(ref) > 1e-12 else 1.0
-        expected = np.zeros(dim_full, dtype=complex)
-        expected[expected_index] = phase
-        dev = float(np.abs(out - expected).max())
-        max_dev = max(max_dev, dev)
-        if dev > AMPLITUDE_TOL and ok:
-            ok = False
+            ref = out[rows, cols]
+            mag = np.abs(ref)
+            nonzero = mag > 1e-12
+            phase = np.where(nonzero, ref / np.where(nonzero, mag, 1.0), 1.0)
+        out[rows, cols] -= phase
+        dev = np.abs(out).max(axis=0)
+        max_dev = max(max_dev, float(dev.max()))
+        bad = np.nonzero(dev > AMPLITUDE_TOL)[0]
+        if bad.size and first_failure is None:
+            j = int(bad[0])
             first_failure = (
-                f"input {x:0{c.n}b} (wire 0 rightmost): expected basis state"
-                f" {expected_index:0{c.wires}b}, max amplitude deviation {dev:.3e}"
+                f"input {int(inputs[first + j]):0{c.n}b} (wire 0 rightmost): expected basis"
+                f" state {int(rows[j]):0{c.wires}b}, max amplitude deviation {dev[j]:.3e}"
             )
     return VerifyResult(
-        ok=ok, checked=dim_in, max_deviation=max_dev, first_failure=first_failure
+        ok=first_failure is None,
+        checked=len(inputs),
+        max_deviation=max_dev,
+        first_failure=first_failure,
     )
 
 
@@ -125,7 +133,21 @@ def verify_clean(c: Circuit, op: ReferenceOp, strict_phase: bool = False) -> Ver
         return _verify_clean_permutation(c, op)
     if op.n + c.a > DENSE_CHECK_MAX_WIRES:
         raise ValueError(f"dense check limited to op.n + a <= {DENSE_CHECK_MAX_WIRES}")
-    return _verify_clean_dense(c, op, strict_phase)
+    return _verify_clean_dense(c, op, strict_phase, np.arange(2**c.n))
+
+
+def robust_check(c: Circuit, against: ReferenceOp) -> bool:
+    """Clean computation on every ancilla basis setting: for each input basis
+    x and ancilla basis y, the circuit must map |x>|y> to (op|x>)|y> up to a
+    per-input global phase. Limited to n + a <= 10."""
+    if c.wires > DENSE_CHECK_MAX_WIRES:
+        raise ValueError(f"robust check limited to n + a <= {DENSE_CHECK_MAX_WIRES}")
+    if c.n != against.n + 1:
+        raise ValueError(
+            f"circuit has {c.n} non-ancilla wires but op of arity {against.n}"
+            f" needs {against.n + 1}"
+        )
+    return _verify_clean_dense(c, against, False, np.arange(2**c.wires)).ok
 
 
 def sensitivity_scan(c: Circuit, m: MeasurementSpec) -> tuple[int, ...]:
@@ -134,16 +156,11 @@ def sensitivity_scan(c: Circuit, m: MeasurementSpec) -> tuple[int, ...]:
     |1>-probability by more than 1e-9. Limited to n + a <= 10."""
     if c.wires > DENSE_CHECK_MAX_WIRES:
         raise ValueError(f"sensitivity scan limited to n + a <= {DENSE_CHECK_MAX_WIRES}")
-    wires = tuple(range(c.wires))
-    dim_in = 2 ** c.n
-    dim_full = 2 ** c.wires
-    p1 = np.empty(dim_in)
-    for x in range(dim_in):
-        amps = np.zeros(dim_full, dtype=complex)
-        amps[x] = 1.0
-        p1[x] = read_target(run(c, PartialState(wires, amps)), m).p1
+    xs = np.arange(2**c.n)
+    p1 = np.empty(xs.size)
+    for first, out in run_basis(c, xs):
+        p1[first : first + out.shape[1]] = column_probabilities(out, m.wire)
     influential = []
-    xs = np.arange(dim_in)
     for i in range(c.n):
         if np.abs(p1[xs] - p1[xs ^ (1 << i)]).max() > 1e-9:
             influential.append(i)

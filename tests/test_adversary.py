@@ -423,7 +423,22 @@ def test_robust_fails_when_ancilla_flipped():
     assert not robust_check(c, ReferenceOp("parity", 2))
 
 
+def test_robust_fails_when_ancilla_feeds_the_target():
+    # Clean with the ancilla at |0>, but an excited ancilla flips the target.
+    base = build_parity_logdepth(2)
+    c = Circuit(n=3, a=1, target=2, layers=base.layers + (Layer([Cnot(3, 2)]),))
+    assert verify_clean(c, ReferenceOp("parity", 2)).ok
+    assert not robust_check(c, ReferenceOp("parity", 2))
+
+
 def test_robust_guard():
     c = Circuit(n=11, a=0, target=0, layers=())
     with pytest.raises(ValueError, match="n \\+ a <= 10"):
         robust_check(c, ReferenceOp("parity", 10))
+
+
+def test_robust_check_is_one_function_under_both_names():
+    import qshallow
+    from qshallow import adversary, verify
+
+    assert qshallow.robust_check is adversary.robust_check is verify.robust_check

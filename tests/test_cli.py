@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,18 @@ def test_invariant_breach_exits_3(tmp_path, capsys):
     assert main(["adversary", "--circuit", str(path), "--mode", "improved"]) == 3
     assert "invariant breach" in capsys.readouterr().err
     assert main(["adversary", "--circuit", str(path), "--mode", "basic"]) == 1
+
+
+def test_simulate_too_wide_exits_2_without_allocating(tmp_path, capsys):
+    path = tmp_path / "wide30.json"
+    doc = {"n": 30, "ancillae": 0, "target": 29, "layers": [[{"kind": "z", "wires": [0, 29]}]]}
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--circuit", str(path), "--input", "0" * 30])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "24-wire simulation limit" in capsys.readouterr().err
+    assert peak < 2**20  # one 30-wire state would be 16 GiB

@@ -1,0 +1,316 @@
+"""Property tests of the compiled, batched layer kernel against a dense
+reference built here, layer by layer, from np.kron and permutation matrices."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qshallow import (
+    Circuit,
+    Cnot,
+    CoverageError,
+    Layer,
+    PartialState,
+    SingleQubit,
+    Toffoli,
+    ZGate,
+    kill_run,
+    run,
+    strip_killed,
+    verify_kill,
+)
+from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
+import qshallow.sim as sim
+from qshallow.sim import (
+    BLOCK_AMPS,
+    MAX_STATE_WIRES,
+    Contraction,
+    Gather,
+    SignFlip,
+    block_columns,
+    compile_layers,
+    run_basis,
+    tensor_indices,
+)
+
+TOL = 1e-12
+
+
+# -- dense reference -----------------------------------------------------------
+
+
+def gate_matrix(g, wires):
+    """Dense matrix of one gate over ``wires`` (bit p = wires[p])."""
+    w = len(wires)
+    index = np.arange(2**w)
+
+    def bit(x):
+        return (index >> wires.index(x)) & 1
+
+    if isinstance(g, SingleQubit):
+        p = wires.index(g.wire)
+        return np.kron(np.kron(np.eye(2 ** (w - 1 - p)), g.u), np.eye(2**p))
+    if isinstance(g, ZGate):
+        fire = np.ones(2**w, dtype=int)
+        for x in g.wires:
+            fire &= bit(x)
+        return np.diag(1.0 - 2.0 * fire).astype(complex)
+    controls = (g.control,) if isinstance(g, Cnot) else g.controls
+    fire = np.ones(2**w, dtype=int)
+    for x in controls:
+        fire &= bit(x)
+    image = index ^ (fire << wires.index(g.target))
+    perm = np.zeros((2**w, 2**w), dtype=complex)
+    perm[image, index] = 1.0
+    return perm
+
+
+def layer_matrix(layer, wires, fixed_zero=frozenset()):
+    m = np.eye(2 ** len(wires), dtype=complex)
+    for g in layer.gates:
+        if isinstance(g, ZGate) and (set(g.wires) - set(wires)) & fixed_zero:
+            continue  # a pinned wire outside the state: the identity
+        m = gate_matrix(g, wires) @ m
+    return m
+
+
+def slice_matrix(c, wires, lo=0, hi=None, adjoint=False, fixed_zero=frozenset()):
+    hi = c.depth() - 1 if hi is None else hi
+    m = np.eye(2 ** len(wires), dtype=complex)
+    for i in range(lo, hi + 1):
+        m = layer_matrix(c.layers[i], wires, fixed_zero) @ m
+    return m.conj().T if adjoint else m
+
+
+def random_columns(rng, width, batch):
+    raw = rng.standard_normal((2**width, batch)) + 1j * rng.standard_normal((2**width, batch))
+    return raw / np.linalg.norm(raw, axis=0)
+
+
+# -- circuit ensembles ---------------------------------------------------------
+
+
+def random_toffoli_circuit(n, a, depth, rng):
+    """Layers of Toffolis (0-2 controls) and Cnots, with some single-qubit gates."""
+    layers = []
+    for _ in range(depth):
+        order = [int(w) for w in rng.permutation(n + a)]
+        gates = []
+        while order:
+            size = min(int(rng.integers(1, 4)), len(order))
+            group, order = order[:size], order[size:]
+            kind = rng.integers(0, 3)
+            if size == 1 and kind == 0:
+                gates.append(Toffoli((), group[0]))
+            elif size == 1:
+                gates.append(SingleQubit(group[0], np.array([[0, 1], [1j, 0]])))
+            elif size == 2 and kind == 0:
+                gates.append(Cnot(group[0], group[1]))
+            else:
+                gates.append(Toffoli(tuple(group[1:]), group[0]))
+        layers.append(Layer(gates))
+    return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+
+
+def ensemble(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    a = int(rng.integers(0, 9 - n))  # n + a <= 8
+    depth = int(rng.integers(1, 5))
+    if kind == "z":
+        return random_single_qubit_z_circuit(n, a, depth, rng), rng
+    if kind == "bounded":
+        return random_bounded_arity_circuit(n, a, depth, rng, max_arity=3), rng
+    return random_toffoli_circuit(n, a, depth, rng), rng
+
+
+KINDS = ("z", "bounded", "toffoli")
+
+
+# -- kernel vs dense reference -------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_dense_reference(kind, seed):
+    c, rng = ensemble(kind, seed)
+    wires = tuple(range(c.wires))
+    dense = slice_matrix(c, wires)
+    for batch in (1, 3, 40):
+        block = random_columns(rng, c.wires, batch)
+        out = compile_layers(c.layers, wires).apply(block.copy())
+        assert np.abs(out - dense @ block).max() <= TOL
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_slices_and_adjoint_match_dense_reference(kind, seed):
+    c, rng = ensemble(kind, 100 + seed)
+    wires = tuple(range(c.wires))
+    s = PartialState(wires, random_columns(rng, c.wires, 1)[:, 0])
+    for lo in range(c.depth()):
+        for hi in range(lo - 1, c.depth()):
+            for adjoint in (False, True):
+                expect = slice_matrix(c, wires, lo, hi, adjoint) @ s.amps
+                out = run(c, s, from_layer=lo, to_layer=hi, adjoint=adjoint)
+                assert np.abs(out.amps - expect).max() <= TOL
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fixed_zero_z_gates_and_coverage(seed):
+    rng = np.random.default_rng(200 + seed)
+    c = random_single_qubit_z_circuit(5, 3, 3, rng)
+    pinned = frozenset({1, 6})
+    # Keep the state off the pinned wires: drop the single-qubit gates there.
+    c = Circuit(
+        n=c.n,
+        a=c.a,
+        target=c.target,
+        layers=tuple(
+            Layer(g for g in layer.gates if not (isinstance(g, SingleQubit) and g.wire in pinned))
+            for layer in c.layers
+        ),
+    )
+    wires = tuple(w for w in range(c.wires) if w not in pinned)
+    block = random_columns(rng, len(wires), 4)
+    out = compile_layers(c.layers, wires, fixed_zero=pinned).apply(block.copy())
+    assert np.abs(out - slice_matrix(c, wires, fixed_zero=pinned) @ block).max() <= TOL
+    straddles = any(
+        isinstance(g, ZGate) and set(g.wires) & pinned for layer in c.layers for g in layer.gates
+    )
+    if straddles:
+        with pytest.raises(CoverageError, match="not fixed to 0"):
+            compile_layers(c.layers, wires)
+        with pytest.raises(CoverageError, match="not fixed to 0"):
+            compile_layers(c.layers, wires, fixed_zero=frozenset({0}))
+
+
+def test_coverage_error_for_single_qubit_and_toffoli():
+    with pytest.raises(CoverageError, match="not covered"):
+        compile_layers((Layer([SingleQubit(3, np.eye(2))]),), (0, 1))
+    with pytest.raises(CoverageError, match="not covered"):
+        compile_layers((Layer([Toffoli((0, 4), 1)]),), (0, 1), fixed_zero=frozenset({4}))
+
+
+def test_each_layer_compiles_to_one_diagonal_one_permutation_and_contractions():
+    c = Circuit(
+        n=6,
+        a=0,
+        target=5,
+        layers=(
+            Layer([ZGate((0, 1)), ZGate((2, 3)), SingleQubit(4, np.eye(2)), ZGate((5,))]),
+            Layer([Toffoli((0, 1), 2), Cnot(3, 4), SingleQubit(5, np.eye(2))]),
+        ),
+    )
+    parts = compile_layers(c.layers, range(6)).parts
+    assert [type(p) for p in parts] == [SignFlip, Contraction, Gather, Contraction]
+    assert [p.position for p in parts if isinstance(p, Contraction)] == [4, 5]
+
+
+def test_every_part_is_applied_through_apply_gate(monkeypatch):
+    c = Circuit(
+        n=3,
+        a=0,
+        target=2,
+        layers=(
+            Layer([SingleQubit(0, np.array([[1, 1], [1, -1]]) / np.sqrt(2)), ZGate((1, 2))]),
+            Layer([Cnot(0, 1)]),
+        ),
+    )
+    expected = run(c, PartialState.zero(range(3))).amps
+    seen = []
+    original = sim.apply_gate
+
+    def counting(g, s, fixed_zero=frozenset()):
+        seen.append((type(g), s.wires, s.amps.shape))
+        return original(g, s, fixed_zero)
+
+    monkeypatch.setattr(sim, "apply_gate", counting)
+    out = run(c, PartialState.zero(range(3)))
+    assert np.abs(out.amps - expected).max() <= TOL
+    assert seen == [
+        (SignFlip, (0, 1, 2), (8, 1)),
+        (Contraction, (0, 1, 2), (8, 1)),
+        (Gather, (0, 1, 2), (8, 1)),
+    ]
+
+
+# -- batching ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_agrees_with_batch_of_one(kind):
+    c, rng = ensemble(kind, 300)
+    wires = tuple(range(c.wires))
+    block = random_columns(rng, c.wires, 17)
+    out = compile_layers(c.layers, wires).apply(block.copy())
+    for j in range(block.shape[1]):
+        single = run(c, PartialState(wires, block[:, j].copy()))
+        assert np.abs(out[:, j] - single.amps).max() <= TOL
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1, 130))
+def test_basis_runs_straddle_block_boundaries(extra):
+    rng = np.random.default_rng(400 + extra)
+    c = random_bounded_arity_circuit(5, 3, 3, rng, max_arity=3)
+    step = block_columns(c.wires)
+    assert step * 2**c.wires == BLOCK_AMPS
+    inputs = rng.integers(0, 2**c.wires, size=step + extra)
+    dense = slice_matrix(c, tuple(range(c.wires)))
+    seen = 0
+    for first, block in run_basis(c, inputs):
+        assert first == seen and block.shape[1] <= step
+        assert np.abs(block - dense[:, inputs[first : first + block.shape[1]]]).max() <= TOL
+        seen += block.shape[1]
+    assert seen == inputs.size
+
+
+@pytest.mark.parametrize("seed", (16, 23))
+@pytest.mark.parametrize("trials", (6, 7, 8, 20))
+def test_verify_kill_batch_matches_per_state_runs(seed, trials):
+    """12 wires give 8 columns per block, so these trial counts straddle a
+    block boundary; the readings must match one run per rest state, drawn
+    from the same generator in the same order. A random witness makes the
+    readings depend on the rest state (a true witness reads ~0 on all);
+    these seeds give circuits where they do."""
+    rng = np.random.default_rng(seed)
+    c = random_single_qubit_z_circuit(12, 0, 4, rng)
+    s = kill_run(c, "basic")
+    s = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, rng))
+    result = verify_kill(c, s, trials=trials, seed=9)
+    full_readings = [p_full for p_full, _ in result.readings]
+    assert not result.ok and max(full_readings) - min(full_readings) > 0.01
+
+    draws = np.random.default_rng(9)
+    rests = [PartialState.zero(s.rest)]
+    rests += [PartialState.random(s.rest, draws) for _ in range(trials)]
+    assert result.trials == len(rests)
+    stripped = strip_killed(c, s.killed)
+    diffs = []
+    for (p_full, p_killed), rest in zip(result.readings, rests):
+        start = rest.tensor(s.psi)
+        full = run(c, start, from_layer=c.depth() - s.k)
+        killed = run(stripped, start, from_layer=c.depth() - s.k)
+        assert abs(p_full - full.restricted_probability(c.target, 1)) <= TOL
+        assert abs(p_killed - killed.restricted_probability(c.target, 1)) <= TOL
+        diffs.append(np.abs(full.amps - killed.amps).max())
+    assert abs(result.max_state_diff - max(diffs)) <= TOL and max(diffs) > 0.01
+
+
+# -- width guard ---------------------------------------------------------------
+
+
+def test_width_guard_refuses_before_allocating():
+    too_wide = range(MAX_STATE_WIRES + 1)
+    for make in (
+        lambda: PartialState.zero(too_wide),
+        lambda: PartialState.basis(too_wide, {0: 1}),
+        lambda: PartialState.random(too_wide, np.random.default_rng(0)),
+        lambda: tensor_indices(tuple(range(13)), tuple(range(13, 26))),
+        lambda: compile_layers((), too_wide),
+        lambda: block_columns(MAX_STATE_WIRES + 1),
+    ):
+        with pytest.raises(ValueError, match="wire simulation limit"):
+            make()
+    assert block_columns(20) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,24 @@ def test_tradeoff_bound_values():
     assert tradeoff_bound(1024, 0, "fanout").bounded_gate_depth == 8.0
     # fanout's unbounded bound floors at zero
     assert tradeoff_bound(2, 1, "fanout").unbounded_gate_depth == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_fanout_bounds_never_negative(n):
+    fanout = tradeoff_bound(n, 0, "fanout")
+    assert fanout.bounded_gate_depth == max(math.log2(n) - 2.0, 0.0) >= 0.0
+    assert fanout.unbounded_gate_depth >= 0.0
+    assert tradeoff_bound(n, 0, "parity").bounded_gate_depth == math.log2(n)
+
+
+@pytest.mark.parametrize("kind", ["parity", "fanout"])
+def test_basis_map_vectorized_matches_scalar(kind):
+    op = ReferenceOp(kind, 5)
+    indices = np.arange(2 ** (op.n + 1), dtype=np.int64)
+    mapped = op.basis_map(indices)
+    assert mapped.dtype == np.int64
+    assert mapped.tolist() == [op.basis_map(int(x)) for x in indices]
+    assert type(op.basis_map(7)) is int
 
 
 def test_tradeoff_bound_validation():
