@@ -38,9 +38,10 @@ from .circuits import (
     circuit_sha256,
     is_single_qubit_z_circuit,
 )
-from .reference import OpKind, conjugate_parity_to_fanout
+from .reference import OpKind, conjugate_parity_to_fanout, parity_mask
 from .sim import (
     PartialState,
+    TargetReading,
     adjoint_gate,
     apply_layer,
     block_columns,
@@ -52,7 +53,7 @@ from .sim import (
 )
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
-READING_TOL = 1e-9
+READING_TOL = 1e-9  # a target |1>-probability at most this reads as 0
 STATE_TOL = 1e-10
 
 Mode = str  # "basic" | "improved"
@@ -402,13 +403,29 @@ class KillCertificate:
     verdict: str  # "not-parity" | "not-fanout" | "inconclusive"
 
 
-def _parity_reading(state: PartialState, x_wires: tuple[int, ...], target: int) -> float:
-    """Target |1>-probability the parity operator would leave on this state."""
-    index = np.arange(state.amps.size)
-    value = (index >> state.position(target)) & 1
-    for w in x_wires:
-        value ^= (index >> state.position(w)) & 1
-    return float(np.sum(np.abs(state.amps[value == 1]) ** 2))
+def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
+    """The circuit both no-side arguments analyze: the circuit itself against
+    parity; against fanout, its Hadamard conjugate, since a parity verdict on
+    the conjugate is a fanout verdict on the circuit."""
+    return conjugate_parity_to_fanout(c) if against == "fanout" else c
+
+
+def flip_pair(
+    c: Circuit, m: MeasurementSpec, psi: PartialState, free_input: int
+) -> tuple[tuple[TargetReading, TargetReading], tuple[float, float]]:
+    """The two-input check that ends every no-side argument. Runs the circuit
+    on all-zeros over the wires ``psi`` leaves out, tensored with ``psi``, and
+    on the same with ``free_input`` set. Returns the circuit's readings of
+    the measured wire on both inputs, then the parity operator's."""
+    rest = tuple(w for w in range(c.wires) if w not in psi.wires)
+    ones = parity_mask(tuple(sorted(rest + psi.wires)), m.wire, c.n)
+    readings = []
+    parity = []
+    for bits in ({}, {free_input: 1}):
+        start = PartialState.basis(rest, bits).tensor(psi)
+        readings.append(read_target(run(c, start), m))
+        parity.append(float(np.sum(np.abs(start.amps[ones]) ** 2)))
+    return (readings[0], readings[1]), (parity[0], parity[1])
 
 
 def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
@@ -424,41 +441,33 @@ def parity_certificate(
     """Run the construction and package the verdict. For ``against='fanout'``
     the circuit is first conjugated by Hadamard layers, and the parity
     verdict on the conjugate certifies the fanout verdict on the input."""
-    analyzed = conjugate_parity_to_fanout(c) if against == "fanout" else c
-    s = kill_run(analyzed, mode)
+    analyzed = analyzed_circuit(c, against)
+    return package_certificate(c, analyzed, kill_run(analyzed, mode), against)
+
+
+def package_certificate(
+    c: Circuit, analyzed: Circuit, s: KillState, against: OpKind
+) -> KillCertificate:
+    """Package a finished construction ``s`` on ``analyzed_circuit(c,
+    against)``: pick the first free input and replay its flip pair."""
     free_inputs = [w for w in s.rest if w < analyzed.n]
-
-    readings = None
-    reference_readings = None
-    free_input = None
-    verdict = "inconclusive"
-    if free_inputs:
-        free_input = free_inputs[0]
-        m = MeasurementSpec(analyzed.target)
-        x_wires = tuple(w for w in range(analyzed.n) if w != analyzed.target)
-        pair = []
-        ref_pair = []
-        for flip in (False, True):
-            bits = {free_input: 1} if flip else {}
-            start = PartialState.basis(s.rest, bits).tensor(s.psi)
-            out = run(analyzed, start)
-            p1 = read_target(out, m).p1
-            if p1 > READING_TOL:
+    free_input = free_inputs[0] if free_inputs else None
+    readings = reference_readings = None
+    if free_input is not None:
+        pair, reference_readings = flip_pair(
+            analyzed, MeasurementSpec(analyzed.target), s.psi, free_input
+        )
+        for reading, name in zip(pair, ("baseline", "flipped")):
+            if reading.p1 > READING_TOL:
                 raise InvariantError(
-                    f"witness failed: target reading {p1} on "
-                    f"{'flipped' if flip else 'baseline'} input"
+                    f"witness failed: target reading {reading.p1} on {name} input"
                 )
-            pair.append(p1)
-            ref_pair.append(_parity_reading(start, x_wires, analyzed.target))
-        readings = (pair[0], pair[1])
-        reference_readings = (ref_pair[0], ref_pair[1])
-        verdict = "not-parity" if against == "parity" else "not-fanout"
-
+        readings = (pair[0].p1, pair[1].p1)
     return KillCertificate(
         version=__version__,
         circuit_sha256=circuit_sha256(c),
         against=against,
-        mode=mode,
+        mode=s.mode,
         history=s.history,
         psi_wires=s.psi.wires,
         psi_amps=tuple(complex(v) for v in s.psi.amps),
@@ -466,7 +475,7 @@ def parity_certificate(
         readings=readings,
         reference_readings=reference_readings,
         ancilla_consistency=_ancilla_consistency(s.psi, analyzed),
-        verdict=verdict,
+        verdict="inconclusive" if free_input is None else f"not-{against}",
     )
 
 
@@ -559,25 +568,20 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     readings, and the parity-operator separation are all re-simulated."""
     if circuit_sha256(c) != cert.circuit_sha256:
         return False
-    analyzed = conjugate_parity_to_fanout(c) if cert.against == "fanout" else c
     psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
     if cert.verdict == "inconclusive":
         return cert.free_input is None and cert.readings is None
-    if cert.free_input is None or cert.readings is None:
+    if cert.free_input is None or cert.readings is None or cert.reference_readings is None:
         return False
-    rest = tuple(w for w in range(analyzed.wires) if w not in cert.psi_wires)
-    if cert.free_input not in rest or cert.free_input >= analyzed.n:
+    analyzed = analyzed_circuit(c, cert.against)
+    if cert.free_input not in range(analyzed.n) or cert.free_input in psi.wires:
         return False
-    m = MeasurementSpec(analyzed.target)
-    x_wires = tuple(w for w in range(analyzed.n) if w != analyzed.target)
-    for i, flip in enumerate((False, True)):
-        bits = {cert.free_input: 1} if flip else {}
-        start = PartialState.basis(rest, bits).tensor(psi)
-        p1 = read_target(run(analyzed, start), m).p1
+    pair, reference = flip_pair(analyzed, MeasurementSpec(analyzed.target), psi, cert.free_input)
+    for i in range(2):
+        p1 = pair[i].p1
         if p1 > READING_TOL or abs(p1 - cert.readings[i]) > READING_TOL:
             return False
-        ref = _parity_reading(start, x_wires, analyzed.target)
-        if cert.reference_readings is None or abs(ref - cert.reference_readings[i]) > READING_TOL:
+        if abs(reference[i] - cert.reference_readings[i]) > READING_TOL:
             return False
     # The parity operator's two readings complement each other; the larger one
     # certifies disagreement with the circuit's ~0 reading on that input.

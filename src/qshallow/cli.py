@@ -17,10 +17,11 @@ import sys
 from ._version import __version__
 from .adversary import (
     InvariantError,
+    analyzed_circuit,
     certificate_to_json,
-    parity_certificate,
-    verify_kill,
     kill_run,
+    package_certificate,
+    verify_kill,
 )
 from .circuits import (
     Circuit,
@@ -140,17 +141,11 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if not is_single_qubit_z_circuit(c):
         print("note: rewriting Toffoli/Cnot gates to their H-Z-H form first")
         c = rewrite_toffoli_to_z(c)
-    cert = parity_certificate(c, mode=args.mode, against=args.against)
+    analyzed = analyzed_circuit(c, args.against)
+    state = kill_run(analyzed, args.mode)
+    cert = package_certificate(c, analyzed, state, args.against)
     if args.selfcheck:
-        state = kill_run(
-            conjugate_parity_to_fanout(c) if args.against == "fanout" else c, args.mode
-        )
-        check = verify_kill(
-            conjugate_parity_to_fanout(c) if args.against == "fanout" else c,
-            state,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        check = verify_kill(analyzed, state, trials=args.trials, seed=args.seed)
         print(
             f"witness self-check over {check.trials} states: max target reading"
             f" {check.max_p1:.3e}, max killed-vs-full deviation {check.max_state_diff:.3e}"

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .adversary import READING_TOL, analyzed_circuit, flip_pair
 from .circuits import Circuit, MeasurementSpec
-from .reference import OpKind, conjugate_parity_to_fanout
-from .sim import TargetReading, full_input_state, read_target, run
-
-READING_TOL = 1e-9
+from .reference import OpKind
+from .sim import PartialState, TargetReading
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,6 @@ def lightcone(c: Circuit, m: MeasurementSpec) -> LightconeReport:
     )
 
 
-def _parity_target_bit(c: Circuit, m: MeasurementSpec, bits: tuple[int, ...]) -> int:
-    """Target bit the parity operator would produce on a basis input: the
-    measured wire's bit XORed with every other input wire's bit."""
-    out = bits[m.wire] if m.wire < c.n else 0
-    for w in range(c.n):
-        if w != m.wire:
-            out ^= bits[w]
-    return out
-
-
 def lightcone_counterexample(
     c: Circuit, m: MeasurementSpec, against: OpKind = "parity"
 ) -> LightconePair | None:
@@ -98,27 +87,19 @@ def lightcone_counterexample(
     conjugation, fanout) by exhibiting a free input wire: the circuit's
     target reading ignores the flip, the reference operator's does not.
     Returns None when the lightcone covers every input (no verdict)."""
-    if against == "fanout":
-        return lightcone_counterexample(conjugate_parity_to_fanout(c), m, "parity")
+    c = analyzed_circuit(c, against)
     report = lightcone(c, m)
     if not report.free_inputs:
         return None
     flip = report.free_inputs[0]
-    x = tuple(0 for _ in range(c.n))
-    baseline = read_target(run(c, full_input_state(c, {})), m)
-    flipped = read_target(run(c, full_input_state(c, {flip: 1})), m)
+    (baseline, flipped), parity = flip_pair(c, m, PartialState.zero(()), flip)
     if abs(baseline.p1 - flipped.p1) > READING_TOL:
         raise AssertionError(
             f"free input {flip} moved the reading by {abs(baseline.p1 - flipped.p1)}"
             " despite being outside the lightcone"
         )
-    x_flipped = tuple(1 if w == flip else 0 for w in range(c.n))
-    parity_readings = (
-        float(_parity_target_bit(c, m, x)),
-        float(_parity_target_bit(c, m, x_flipped)),
-    )
     return LightconePair(
-        x=x, flip_wire=flip, readings=(baseline, flipped), parity_readings=parity_readings
+        x=(0,) * c.n, flip_wire=flip, readings=(baseline, flipped), parity_readings=parity
     )
 
 

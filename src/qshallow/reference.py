@@ -19,7 +19,7 @@ from typing import Literal
 import numpy as np
 
 from .circuits import HADAMARD, Circuit, Cnot, Layer, SingleQubit
-from .sim import PartialState
+from .sim import PartialState, bit_table
 
 OpKind = Literal["parity", "fanout"]
 
@@ -46,12 +46,25 @@ class ReferenceOp:
         Also maps an int64 array of such integers elementwise; a Python int
         maps to a Python int."""
         if self.kind == "parity":
-            par = 0
-            for i in range(self.n):
-                par ^= (index >> i) & 1
-            return index ^ (par << self.n)
+            # Fold the x bits onto bit 0: after shifts 1, 2, 4, ... reaching
+            # n, bit 0 holds x_0 ^ ... ^ x_{n-1} (the bits above are masked off).
+            par = index & ((1 << self.n) - 1)
+            shift = 1
+            while shift < self.n:
+                par ^= par >> shift
+                shift <<= 1
+            return index ^ ((par & 1) << self.n)
         b_bit = (index >> self.n) & 1
         return index ^ (b_bit * ((1 << self.n) - 1))
+
+
+def _op_index(wires: tuple[int, ...], op_wires: tuple[int, ...]) -> np.ndarray:
+    """For every amplitude index over ``wires`` (bit p carries ``wires[p]``),
+    the op's basis index: bit i carries the bit of wire ``op_wires[i]``."""
+    weights = [0] * len(wires)
+    for i, w in enumerate(op_wires):
+        weights[wires.index(w)] = 1 << i
+    return bit_table(weights)
 
 
 def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
@@ -60,23 +73,21 @@ def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
     missing = [w for w in op.wires if w not in s.wires]
     if missing:
         raise ValueError(f"state over {s.wires} does not cover op wires {missing}")
-    index = np.arange(s.amps.size)
-    positions = [s.position(w) for w in range(op.n)]
-    b_pos = s.position(op.n)
-    if op.kind == "parity":
-        par = np.zeros(s.amps.size, dtype=np.int64)
-        for p in positions:
-            par ^= (index >> p) & 1
-        new_index = index ^ (par << b_pos)
-    else:
-        b_bit = (index >> b_pos) & 1
-        x_mask = 0
-        for p in positions:
-            x_mask |= 1 << p
-        new_index = index ^ (b_bit * x_mask)
+    local = _op_index(s.wires, op.wires)
+    to_state = bit_table([1 << s.position(w) for w in op.wires])
     out = np.empty_like(s.amps)
-    out[new_index] = s.amps
+    out[np.arange(s.amps.size) ^ to_state[local ^ op.basis_map(local)]] = s.amps
     return PartialState(s.wires, out)
+
+
+def parity_mask(wires: tuple[int, ...], measured: int, n: int) -> np.ndarray:
+    """Over the amplitude indices of a state on ``wires``, which must cover
+    every input wire 0..n-1: where the parity operator leaves the measured
+    wire at 1. The measured wire is b and every other input wire is a summed
+    bit."""
+    summed = tuple(w for w in range(n) if w != measured)
+    op = ReferenceOp("parity", len(summed))
+    return (op.basis_map(_op_index(wires, summed + (measured,))) >> op.n) & 1 == 1
 
 
 def reference_dense(op: ReferenceOp) -> np.ndarray:

@@ -64,6 +64,15 @@ def check_width(width: int) -> None:
         )
 
 
+def bit_table(weights: Sequence[int]) -> np.ndarray:
+    """Entry j is the OR of ``weights[b]`` over the set bits b of j: the map
+    from an index with one bit per weight to the bits those weights set."""
+    table = np.zeros(1 << len(weights), dtype=np.int64)
+    for b, weight in enumerate(weights):
+        np.bitwise_or(table[: 1 << b], weight, out=table[1 << b : 2 << b])
+    return table
+
+
 def tensor_indices(
     first: tuple[int, ...], second: tuple[int, ...]
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -74,15 +83,8 @@ def tensor_indices(
         raise ValueError(f"tensor factors share wires {sorted(overlap)}")
     merged = tuple(sorted(first + second))
     check_width(len(merged))
-    index = np.arange(2 ** len(merged))
-    own = np.zeros_like(index)
-    theirs = np.zeros_like(index)
-    for p, w in enumerate(merged):
-        bit = (index >> p) & 1
-        if w in first:
-            own |= bit << first.index(w)
-        else:
-            theirs |= bit << second.index(w)
+    own = bit_table([1 << first.index(w) if w in first else 0 for w in merged])
+    theirs = bit_table([1 << second.index(w) if w in second else 0 for w in merged])
     return merged, own, theirs
 
 
@@ -164,6 +166,8 @@ class PartialState:
 
     def tensor(self, other: "PartialState") -> "PartialState":
         """Tensor product with a state over disjoint wires."""
+        if not other.wires:  # a state over no wires is the scalar 1
+            return self
         merged, own, theirs = tensor_indices(self.wires, other.wires)
         return PartialState(merged, self.amps[own] * other.amps[theirs])
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,15 @@ def test_recheck_rejects_wrong_circuit():
     c2 = random_single_qubit_z_circuit(10, 0, 3, rng)
     cert = parity_certificate(c1, "improved")
     assert not recheck_certificate(cert, c2)
+
+
+def test_recheck_rejects_a_free_input_that_is_not_free():
+    c = random_single_qubit_z_circuit(8, 2, 3, np.random.default_rng(5))
+    cert = parity_certificate(c, "improved")
+    assert recheck_certificate(cert, c)
+    # a committed wire, an ancilla, a wire past the end, and a string
+    for wire in (c.target, c.n, c.wires, "0"):
+        assert not recheck_certificate(dataclasses.replace(cert, free_input=wire), c)
 
 
 def test_small_committed_set_guarantees_free_input():

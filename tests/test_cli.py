@@ -243,3 +243,22 @@ def test_simulate_too_wide_exits_2_without_allocating(tmp_path, capsys):
     assert code == 2
     assert "24-wire simulation limit" in capsys.readouterr().err
     assert peak < 2**20  # one 30-wire state would be 16 GiB
+
+
+def test_adversary_selfcheck_runs_the_construction_once(random12, monkeypatch, capsys):
+    from qshallow import adversary, cli
+
+    calls = []
+    kill_run = adversary.kill_run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kill_run(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "kill_run", counted)
+    monkeypatch.setattr(cli, "kill_run", counted)
+    code = main(["adversary", "--circuit", str(random12), "--selfcheck", "--against", "fanout"])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("witness self-check over") and line.endswith("(ok)") for line in out)
+    assert len(calls) == 1

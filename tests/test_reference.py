@@ -194,6 +194,34 @@ def test_basis_map_vectorized_matches_scalar(kind):
     assert type(op.basis_map(7)) is int
 
 
+def plain_basis_map(kind, n, index):
+    """The module docstring's definition, bit by bit."""
+    bits = [(index >> i) & 1 for i in range(n + 1)]
+    if kind == "parity":
+        for i in range(n):
+            bits[n] ^= bits[i]
+    else:
+        bits[:n] = [x ^ bits[n] for x in bits[:n]]
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+@pytest.mark.parametrize("kind", ["parity", "fanout"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 12])
+def test_basis_map_matches_the_bitwise_definition(kind, n):
+    op = ReferenceOp(kind, n)
+    indices = np.arange(2 ** (n + 1), dtype=np.int64)
+    assert op.basis_map(indices).tolist() == [plain_basis_map(kind, n, int(x)) for x in indices]
+
+
+@pytest.mark.parametrize("kind", ["parity", "fanout"])
+def test_basis_map_on_python_ints_wider_than_int64(kind):
+    op = ReferenceOp(kind, 70)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        index = int(rng.integers(0, 2**62)) << 9 | int(rng.integers(0, 2**9))
+        assert op.basis_map(index) == plain_basis_map(kind, 70, index)
+
+
 def test_tradeoff_bound_validation():
     with pytest.raises(ValueError):
         tradeoff_bound(0, 0, "parity")
