@@ -47,6 +47,7 @@ from .sim import (
     block_columns,
     column_probabilities,
     compile_layers,
+    random_amps,
     read_target,
     run,
     tensor_indices,
@@ -346,7 +347,7 @@ def verify_kill(
             if first + j == 0 or not s.rest:
                 rest[0, j] = 1.0  # the all-zeros rest state, or no rest wires
             else:
-                rest[:, j] = PartialState.random(s.rest, rng).amps
+                rest[:, j] = random_amps(len(s.rest), rng)
         out_full = full.apply(_tensor_columns(rest, own, witness))
         out_killed = stripped.apply(_tensor_columns(rest, own, witness))
         p_full = column_probabilities(out_full, target)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ._version import __version__
 from .adversary import (
@@ -50,7 +51,7 @@ EXIT_INVARIANT = 3
 
 
 def _read_circuit(path: str) -> Circuit:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_circuit(text)
 
 

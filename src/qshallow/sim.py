@@ -11,8 +11,10 @@ to 1 and wire 9 set to 0.
 There is one simulation core. :func:`compile_layers` compiles a slice of
 layers once, for one wire ordering, into parts: each layer becomes a +-1
 diagonal for all of its Z-gates (:class:`SignFlip`), an index permutation for
-all of its Toffoli/Cnot gates (:class:`Gather`), and one (bit position, 2x2
-matrix) :class:`Contraction` per single-qubit gate. The parts apply to a
+all of its Toffoli/Cnot gates (:class:`Gather`), and one :class:`Contraction`
+per run of adjacent bits that carry its single-qubit gates: a run spans at
+most ``FUSE_MAX_BITS`` bits and contracts them with the Kronecker product of
+its gates (identity on a bit without one). The parts apply to a
 *block*: a C-ordered complex array of shape ``(2**w, batch)`` whose column j
 is one state over the w wires, so the batch index varies fastest in memory.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
@@ -46,10 +48,16 @@ NORM_TOL = 1e-10
 EXACT_ZERO_P1 = 1e-9
 MAX_STATE_WIRES = 24  # 2**24 amplitudes = 256 MiB per state
 BLOCK_AMPS = 2**15  # amplitudes per block handed to the kernel by batched loops
-# A contraction whose inner extent 2**p * batch is at most this runs as one
-# gemm against kron(U^T, I) instead of a stacked 2x2 matmul, which is several
-# times slower there (each 2x2 product covers too few amplitudes).
-KRON_MAX_INNER = 16
+# Single-qubit gates of one layer on a run of up to this many adjacent bits
+# compile into one contraction, so one pass over the block applies them all.
+# A run of k bits costs 2**k multiply-adds per amplitude; 4 measured fastest
+# (widths 1-6 compared in CHANGES.md).
+FUSE_MAX_BITS = 4
+# A contraction whose kron operand side 2**k * inner (inner = 2**p * batch)
+# is at most this runs as one gemm against kron(U^T, I) instead of a stacked
+# 2**k x 2**k matmul, which is several times slower there (each product
+# covers too few amplitudes); above it, the kron operand's zeros cost more.
+KRON_MAX_SIDE = 32
 
 
 class CoverageError(ValueError):
@@ -102,6 +110,13 @@ def column_probabilities(block: np.ndarray, position: int, value: int = 1) -> np
     return _column_mass(block.reshape(-1, 2, 1 << position, block.shape[1])[:, value])
 
 
+def random_amps(width: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unit vector over ``width`` wires (normalized complex
+    Gaussian), drawn as 2**width real parts, then 2**width imaginary parts."""
+    raw = rng.standard_normal(2**width) + 1j * rng.standard_normal(2**width)
+    return raw / np.linalg.norm(raw)
+
+
 @dataclass(frozen=True)
 class PartialState:
     """Unit-norm complex amplitudes over an explicit, sorted set of wires."""
@@ -150,10 +165,7 @@ class PartialState:
         """Haar-ish random unit vector (normalized complex Gaussian)."""
         wires = tuple(sorted(wires))
         check_width(len(wires))
-        raw = rng.standard_normal(2 ** len(wires)) + 1j * rng.standard_normal(
-            2 ** len(wires)
-        )
-        return PartialState(wires, raw / np.linalg.norm(raw))
+        return PartialState(wires, random_amps(len(wires), rng))
 
     # -- structure ----------------------------------------------------------
 
@@ -246,24 +258,50 @@ class Gather:
 
 @dataclass(frozen=True)
 class Contraction:
-    """One single-qubit gate: the 2x2 matrix ``u`` on bit ``position``."""
+    """The single-qubit gates of one layer on a run of k adjacent bits: the
+    2**k x 2**k matrix ``u`` (their Kronecker product, identity on any bit of
+    the run without a gate) on bits ``position`` to ``position + k - 1``,
+    where bit ``position + j`` is bit j of u's index."""
 
     position: int
     u: np.ndarray
 
     def apply(self, b: Block) -> None:
+        dim = self.u.shape[0]
         inner = (1 << self.position) * b.amps.shape[1]
-        if inner <= KRON_MAX_INNER:
-            eye = np.eye(inner)
-            pair = (self.u.T[:, None, :, None] * eye[:, None, :]).reshape(2 * inner, 2 * inner)
-            np.matmul(
-                b.amps.reshape(-1, 2 * inner), pair, out=b.scratch.reshape(-1, 2 * inner)
-            )
+        side = dim * inner
+        if side <= KRON_MAX_SIDE:
+            pair = (self.u.T[:, None, :, None] * np.eye(inner)[:, None, :]).reshape(side, side)
+            np.matmul(b.amps.reshape(-1, side), pair, out=b.scratch.reshape(-1, side))
         else:
             np.matmul(
-                self.u, b.amps.reshape(-1, 2, inner), out=b.scratch.reshape(-1, 2, inner)
+                self.u, b.amps.reshape(-1, dim, inner), out=b.scratch.reshape(-1, dim, inner)
             )
         b.swap()
+
+
+_EYE2 = np.eye(2)
+
+
+def _fused_contractions(singles: dict[int, np.ndarray]) -> list[Contraction]:
+    """Single-qubit gate matrices keyed by bit position, as one contraction
+    per run of at most ``FUSE_MAX_BITS`` adjacent positions. Each run starts
+    at the lowest gate bit not yet covered and ends at its last gate bit."""
+    runs: list[list[int]] = []
+    for p in sorted(singles):
+        if runs and p - runs[-1][0] < FUSE_MAX_BITS:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    out = []
+    for run in runs:
+        u = singles[run[0]]
+        for p in range(run[0] + 1, run[-1] + 1):
+            a = singles.get(p, _EYE2)
+            m = u.shape[0]  # kron(a, u): a acts on the run's new top bit
+            u = (a[:, None, :, None] * u[None, :, None, :]).reshape(2 * m, 2 * m)
+        out.append(Contraction(run[0], u))
+    return out
 
 
 Part = SignFlip | Gather | Contraction
@@ -276,9 +314,9 @@ def _compile_layer(
     index: np.ndarray,
     fixed_zero: frozenset[int],
 ) -> list[Part]:
-    """One layer's parts: its Z-gates, its Toffoli/Cnot gates and each of
-    its single-qubit gates. They commute, as gate supports within a layer
-    are disjoint."""
+    """One layer's parts: its Z-gates, its Toffoli/Cnot gates and its
+    single-qubit gates, fused by runs of adjacent bits. They commute, as gate
+    supports within a layer are disjoint."""
 
     def bit(w: int) -> int:
         try:
@@ -294,7 +332,7 @@ def _compile_layer(
 
     flips = None
     gather = None
-    contractions = []
+    singles: dict[int, np.ndarray] = {}
     for g in gates:
         if isinstance(g, ZGate):
             outside = [w for w in g.wires if w not in position]
@@ -307,7 +345,7 @@ def _compile_layer(
             fire = all_ones(g.wires)
             flips = fire if flips is None else flips ^ fire
         elif isinstance(g, SingleQubit):
-            contractions.append(Contraction(bit(g.wire), g.u))
+            singles[bit(g.wire)] = g.u
         elif isinstance(g, (Toffoli, Cnot)):
             controls = (g.control,) if isinstance(g, Cnot) else g.controls
             flip_bit = 1 << bit(g.target)
@@ -321,7 +359,7 @@ def _compile_layer(
         parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32)))
     if gather is not None:
         parts.append(Gather(gather))
-    return parts + contractions
+    return parts + _fused_contractions(singles)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import gc
 import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,15 @@ def test_simulate_identity_zero(tmp_path, capsys):
     path.write_text('{"n": 4, "ancillae": 0, "target": 3, "layers": []}')
     assert main(["simulate", "--circuit", str(path), "--input", "0000"]) == 0
     assert "target p1 = 0.000000" in capsys.readouterr().out
+
+
+def test_reading_a_circuit_file_closes_it(parity8, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["simulate", "--circuit", str(parity8), "--input", "10110111"]) == 0
+        assert main(["verify", "--circuit", str(parity8), "--against", "parity"]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_simulate_malformed_bitstring(parity8, capsys):

@@ -24,6 +24,7 @@ from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_
 import qshallow.sim as sim
 from qshallow.sim import (
     BLOCK_AMPS,
+    FUSE_MAX_BITS,
     MAX_STATE_WIRES,
     Contraction,
     Gather,
@@ -113,6 +114,25 @@ def random_toffoli_circuit(n, a, depth, rng):
     return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
 
 
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def single_qubit_circuit(width, depth, rng, share=0.6):
+    """Layers of distinct random unitaries on random wire subsets, so runs of
+    adjacent bits have gaps; a Z-gate joins two of the other wires, if any."""
+    layers = []
+    for _ in range(depth):
+        hit = rng.random(width) < share
+        gates = [SingleQubit(w, random_unitary(rng)) for w in range(width) if hit[w]]
+        rest = [w for w in range(width) if not hit[w]]
+        if len(rest) >= 2:
+            gates.append(ZGate(tuple(rest[:2])))
+        layers.append(Layer(gates))
+    return Circuit(n=width, a=0, target=width - 1, layers=tuple(layers))
+
+
 def ensemble(kind, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
@@ -122,10 +142,12 @@ def ensemble(kind, seed):
         return random_single_qubit_z_circuit(n, a, depth, rng), rng
     if kind == "bounded":
         return random_bounded_arity_circuit(n, a, depth, rng, max_arity=3), rng
+    if kind == "single":
+        return single_qubit_circuit(n + a, depth, rng, share=0.8), rng
     return random_toffoli_circuit(n, a, depth, rng), rng
 
 
-KINDS = ("z", "bounded", "toffoli")
+KINDS = ("z", "bounded", "toffoli", "single")
 
 
 # -- kernel vs dense reference -------------------------------------------------
@@ -234,6 +256,89 @@ def test_every_part_is_applied_through_apply_gate(monkeypatch):
         (Contraction, (0, 1, 2), (8, 1)),
         (Gather, (0, 1, 2), (8, 1)),
     ]
+
+
+# -- fused single-qubit runs ---------------------------------------------------
+
+
+def contraction_spans(compiled):
+    """(position, k) of every compiled contraction."""
+    return [
+        (p.position, p.u.shape[0].bit_length() - 1)
+        for p in compiled.parts
+        if isinstance(p, Contraction)
+    ]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_runs_with_gaps_match_dense_reference(width, seed):
+    """Widths 1-3 are below the fusion width; batches of 1-17 columns put the
+    low runs on both sides of the kron-gemm switch."""
+    rng = np.random.default_rng(500 + 10 * width + seed)
+    c = single_qubit_circuit(width, 3, rng)
+    wires = tuple(range(width))
+    compiled = compile_layers(c.layers, wires)
+    assert all(k <= min(width, FUSE_MAX_BITS) for _, k in contraction_spans(compiled))
+    dense = slice_matrix(c, wires)
+    for batch in (1, 2, 3, 17):
+        block = random_columns(rng, width, batch)
+        out = compiled.apply(block.copy())
+        assert np.abs(out - dense @ block).max() <= TOL
+
+
+@pytest.mark.parametrize(
+    "bits", [range(8), range(7), (0, 1, 2, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6), (0, 3, 4, 7)]
+)
+def test_runs_longer_than_the_fusion_width_split(bits):
+    rng = np.random.default_rng(sum(bits))
+    c = Circuit(
+        n=8,
+        a=0,
+        target=7,
+        layers=(Layer([SingleQubit(w, random_unitary(rng)) for w in bits]),),
+    )
+    wires = tuple(range(8))
+    compiled = compile_layers(c.layers, wires)
+    spans = contraction_spans(compiled)
+    covered = [p + j for p, k in spans for j in range(k)]
+    assert set(bits) <= set(covered) and len(covered) == len(set(covered))
+    assert len(spans) > 1 and all(k <= FUSE_MAX_BITS for _, k in spans)
+    for batch in (1, 5):
+        block = random_columns(rng, 8, batch)
+        out = compiled.apply(block.copy())
+        assert np.abs(out - slice_matrix(c, wires) @ block).max() <= TOL
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1, 130))
+def test_fused_basis_runs_straddle_block_boundaries(extra):
+    rng = np.random.default_rng(700 + extra)
+    c = single_qubit_circuit(8, 3, rng, share=0.8)
+    step = block_columns(c.wires)
+    assert step * 2**c.wires == BLOCK_AMPS
+    inputs = rng.integers(0, 2**c.wires, size=step + extra)
+    dense = slice_matrix(c, tuple(range(c.wires)))
+    seen = 0
+    for first, block in run_basis(c, inputs):
+        assert first == seen
+        assert np.abs(block - dense[:, inputs[first : first + block.shape[1]]]).max() <= TOL
+        seen += block.shape[1]
+    assert seen == inputs.size
+
+
+def test_fused_groups_for_gates_on_bits_0_1_2_3_5_9():
+    rng = np.random.default_rng(7)
+    gates = {b: random_unitary(rng) for b in (0, 1, 2, 3, 5, 9)}
+    layer = Layer([ZGate((4, 6))] + [SingleQubit(b, u) for b, u in gates.items()])
+    parts = compile_layers((layer,), range(10)).parts
+    assert [type(p) for p in parts] == [SignFlip, Contraction, Contraction, Contraction]
+    groups = [(p.position, p.u.shape) for p in parts[1:]]
+    assert groups == [(0, (16, 16)), (5, (2, 2)), (9, (2, 2))]
+    # Bit position + j is bit j of u's index: the lowest bit's gate is the
+    # rightmost Kronecker factor.
+    expect = np.kron(np.kron(np.kron(gates[3], gates[2]), gates[1]), gates[0])
+    assert np.abs(parts[1].u - expect).max() <= TOL
+    assert np.array_equal(parts[2].u, gates[5]) and np.array_equal(parts[3].u, gates[9])
 
 
 # -- batching ------------------------------------------------------------------
