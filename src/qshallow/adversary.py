@@ -40,6 +40,7 @@ from .circuits import (
 )
 from .reference import OpKind, conjugate_parity_to_fanout, parity_mask
 from .sim import (
+    READING_TOL,
     PartialState,
     TargetReading,
     adjoint_gate,
@@ -54,7 +55,6 @@ from .sim import (
 )
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
-READING_TOL = 1e-9  # a target |1>-probability at most this reads as 0
 STATE_TOL = 1e-10
 
 Mode = str  # "basic" | "improved"
@@ -325,7 +325,7 @@ def verify_kill(
     ``trials`` random unit states over the uncommitted wires, simulate the
     processed layer suffix on (rest tensor psi) twice -- once with killed
     gates dropped, once with every gate in place -- and demand a target
-    reading of at most 1e-9 and matching states from both runs.
+    reading of at most ``READING_TOL`` and matching states from both runs.
 
     The rest states are drawn from ``seed`` in trial order and run as
     columns of one block at a time, each through both compiled suffixes."""
@@ -348,8 +348,9 @@ def verify_kill(
                 rest[0, j] = 1.0  # the all-zeros rest state, or no rest wires
             else:
                 rest[:, j] = random_amps(len(s.rest), rng)
-        out_full = full.apply(_tensor_columns(rest, own, witness))
-        out_killed = stripped.apply(_tensor_columns(rest, own, witness))
+        start = _tensor_columns(rest, own, witness)
+        out_full = full.apply(start.copy())
+        out_killed = stripped.apply(start)
         p_full = column_probabilities(out_full, target)
         p_killed = column_probabilities(out_killed, target)
         out_killed -= out_full

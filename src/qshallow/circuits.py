@@ -90,19 +90,22 @@ class Toffoli:
         return frozenset(self.controls) | {self.target}
 
 
-@dataclass(frozen=True)
-class Cnot:
-    """Controlled NOT (a one-control Toffoli, kept as its own kind for the
-    file format and for gate-counting)."""
+class Cnot(Toffoli):
+    """Controlled NOT: a one-control Toffoli, kept as its own kind for the
+    file format and for gate-counting. It never equals a Toffoli."""
 
-    control: int
-    target: int
+    def __init__(self, control: int, target: int) -> None:
+        super().__init__((control,), target)
 
-    def support(self) -> frozenset[int]:
-        return frozenset((self.control, self.target))
+    @property
+    def control(self) -> int:
+        return self.controls[0]
+
+    def __repr__(self) -> str:
+        return f"Cnot(control={self.control}, target={self.target})"
 
 
-Gate = Union[SingleQubit, ZGate, Toffoli, Cnot]
+Gate = Union[SingleQubit, ZGate, Toffoli]
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,8 @@ def is_single_qubit_z_circuit(c: Circuit) -> bool:
 
 
 def is_permutation_circuit(c: Circuit) -> bool:
-    """True when the circuit contains only basis-permuting gates (Toffoli/Cnot)."""
+    """True when the circuit contains only basis-permuting gates (Toffolis,
+    Cnot included)."""
     return gate_kinds(c) <= {"Toffoli", "Cnot"}
 
 
@@ -193,14 +197,14 @@ def _validate_gate(g: Gate, wires: int, where: str, violations: list[str]) -> No
             violations.append(f"{where}: z-gate needs at least one wire")
         if len(set(g.wires)) != len(g.wires):
             violations.append(f"{where}: duplicate wires in z-gate {g.wires}")
+    elif isinstance(g, Cnot):
+        if g.control == g.target:
+            violations.append(f"{where}: cnot control equals target ({g.control})")
     elif isinstance(g, Toffoli):
         if len(set(g.controls)) != len(g.controls):
             violations.append(f"{where}: duplicate control wires {g.controls}")
         if g.target in g.controls:
             violations.append(f"{where}: toffoli target {g.target} is also a control")
-    elif isinstance(g, Cnot):
-        if g.control == g.target:
-            violations.append(f"{where}: cnot control equals target ({g.control})")
 
 
 def validate(c: Circuit) -> list[str]:
@@ -243,10 +247,10 @@ def _gate_to_obj(g: Gate) -> dict:
         return {"kind": "u", "wire": g.wire, "matrix": matrix}
     if isinstance(g, ZGate):
         return {"kind": "z", "wires": list(g.wires)}
-    if isinstance(g, Toffoli):
-        return {"kind": "toffoli", "controls": list(g.controls), "target": g.target}
     if isinstance(g, Cnot):
         return {"kind": "cnot", "control": g.control, "target": g.target}
+    if isinstance(g, Toffoli):
+        return {"kind": "toffoli", "controls": list(g.controls), "target": g.target}
     raise TypeError(f"unknown gate type {type(g).__name__}")
 
 
@@ -348,49 +352,26 @@ def circuit_sha256(c: Circuit) -> str:
     return hashlib.sha256(serialize_circuit(c).encode("utf-8")).hexdigest()
 
 
-def circuits_equal(c1: Circuit, c2: Circuit) -> bool:
-    return (
-        c1.n == c2.n
-        and c1.a == c2.a
-        and c1.target == c2.target
-        and len(c1.layers) == len(c2.layers)
-        and all(l1.gates == l2.gates for l1, l2 in zip(c1.layers, c2.layers))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rewrites
 # ---------------------------------------------------------------------------
 
 
-def _toffoli_like(g: Gate) -> tuple[tuple[int, ...], int] | None:
-    """Return (controls, target) for Toffoli/Cnot gates, None otherwise."""
-    if isinstance(g, Toffoli):
-        return g.controls, g.target
-    if isinstance(g, Cnot):
-        return (g.control,), g.target
-    return None
-
-
 def rewrite_toffoli_to_z(c: Circuit) -> Circuit:
-    """Replace every Toffoli/Cnot by the sandwich H(target), Z(controls+target),
-    H(target), expanding each affected layer into three. Layers without
-    Toffoli/Cnot gates pass through unchanged, so the result's full operator
-    equals the input's and its depth grows by at most a factor of 3."""
+    """Replace every Toffoli (Cnot included) by the sandwich H(target),
+    Z(controls+target), H(target), expanding each affected layer into three.
+    Layers without Toffolis pass through unchanged, so the result's full
+    operator equals the input's and its depth grows by at most a factor of 3."""
     new_layers: list[Layer] = []
     for layer in c.layers:
-        targets = [ct[1] for g in layer.gates if (ct := _toffoli_like(g)) is not None]
+        targets = [g.target for g in layer.gates if isinstance(g, Toffoli)]
         if not targets:
             new_layers.append(layer)
             continue
         h_layer = Layer(SingleQubit(t, HADAMARD) for t in targets)
-        middle = []
-        for g in layer.gates:
-            ct = _toffoli_like(g)
-            if ct is None:
-                middle.append(g)
-            else:
-                controls, t = ct
-                middle.append(ZGate(tuple(sorted(controls + (t,)))))
-        new_layers.extend((h_layer, Layer(middle), h_layer))
+        middle = Layer(
+            ZGate(tuple(sorted(g.support()))) if isinstance(g, Toffoli) else g
+            for g in layer.gates
+        )
+        new_layers.extend((h_layer, middle, h_layer))
     return Circuit(n=c.n, a=c.a, target=c.target, layers=tuple(new_layers))

@@ -18,21 +18,19 @@ its gates (identity on a bit without one). The parts apply to a
 *block*: a C-ordered complex array of shape ``(2**w, batch)`` whose column j
 is one state over the w wires, so the batch index varies fastest in memory.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
-each part is applied through :func:`apply_gate`, and each column's norm is
-checked once, after the last part. :func:`run`, :func:`apply_layer` and
-:func:`apply_gate` on a :class:`PartialState` are batch-of-1 wrappers over
-it; loops over many states (basis inputs, random trials) hand it blocks of
-at most ``BLOCK_AMPS`` amplitudes each, or one column when a single state is
-larger.
+each part is applied through :func:`apply_gate`, the per-part hook, and each
+column's norm is checked once, after the last part. :func:`run` (a whole
+circuit) and :func:`apply_layer` (one layer) are the :class:`PartialState`
+entry points, batch-of-1 wrappers over the kernel; loops over many states
+(basis inputs, random trials) hand it blocks of at most ``BLOCK_AMPS``
+amplitudes each, or one column when a single state is larger.
 
 No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
 :class:`PartialState` constructors, :func:`full_input_state` and the kernel
 refuse such widths with ``ValueError``.
 
-Gates are refused when they touch wires outside the state, with one audited
-exception: a Z-gate may have wires outside the state if at least one of those
-wires is declared fixed to |0> by the caller, in which case the gate acts as
-the identity (its all-ones sign condition can never fire).
+A gate that touches a wire outside the state raises :class:`CoverageError`,
+and two gates of one layer on a shared wire raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cnot, Gate, Layer, MeasurementSpec, SingleQubit, Toffoli, ZGate
+from .circuits import Circuit, Gate, Layer, MeasurementSpec, SingleQubit, Toffoli, ZGate
 
 NORM_TOL = 1e-10
-EXACT_ZERO_P1 = 1e-9
 MAX_STATE_WIRES = 24  # 2**24 amplitudes = 256 MiB per state
 BLOCK_AMPS = 2**15  # amplitudes per block handed to the kernel by batched loops
+DENSE_OPERATOR_MAX_WIRES = 12
 # Single-qubit gates of one layer on a run of up to this many adjacent bits
 # compile into one contraction, so one pass over the block applies them all.
 # A run of k bits costs 2**k multiply-adds per amplitude; 4 measured fastest
@@ -196,6 +194,9 @@ class PartialState:
         return float(column_probabilities(column, self.position(wire), value)[0])
 
 
+READING_TOL = 1e-9  # a target |1>-probability at most this reads as 0
+
+
 @dataclass(frozen=True)
 class TargetReading:
     """Probability of measuring |1> on the target wire."""
@@ -209,7 +210,7 @@ class TargetReading:
 
 
 def adjoint_gate(g: Gate) -> Gate:
-    """Per-gate adjoint; Z/Toffoli/Cnot are involutions."""
+    """Per-gate adjoint; Z-gates and Toffolis (Cnot included) are involutions."""
     if isinstance(g, SingleQubit):
         return SingleQubit(g.wire, g.u.conj().T)
     return g
@@ -246,7 +247,7 @@ class SignFlip:
 
 @dataclass(frozen=True)
 class Gather:
-    """Every Toffoli/Cnot of a layer, as one permutation:
+    """Every Toffoli (Cnot included) of a layer, as one permutation:
     ``out[i] = in[index[i]]``."""
 
     index: np.ndarray
@@ -308,51 +309,42 @@ Part = SignFlip | Gather | Contraction
 
 
 def _compile_layer(
-    gates: Sequence[Gate],
-    wires: tuple[int, ...],
-    position: dict[int, int],
-    index: np.ndarray,
-    fixed_zero: frozenset[int],
+    gates: Sequence[Gate], wires: tuple[int, ...], position: dict[int, int], index: np.ndarray
 ) -> list[Part]:
-    """One layer's parts: its Z-gates, its Toffoli/Cnot gates and its
-    single-qubit gates, fused by runs of adjacent bits. They commute, as gate
-    supports within a layer are disjoint."""
+    """One layer's parts: its Z-gates, its Toffolis and its single-qubit
+    gates, fused by runs of adjacent bits. They commute, as gate supports
+    within a layer are disjoint; a layer whose gates share a wire is refused."""
 
-    def bit(w: int) -> int:
-        try:
-            return position[w]
-        except KeyError:
-            raise CoverageError(f"wire {w} not covered by state over {wires}") from None
-
-    def all_ones(ws: Iterable[int]) -> np.ndarray:
-        mask = 0
+    def mask(ws: Iterable[int]) -> int:
+        out = 0
         for w in ws:
-            mask |= 1 << bit(w)
-        return (index & mask) == mask
+            try:
+                out |= 1 << position[w]
+            except KeyError:
+                raise CoverageError(f"wire {w} not covered by state over {wires}") from None
+        return out
 
+    used = 0
     flips = None
     gather = None
     singles: dict[int, np.ndarray] = {}
     for g in gates:
+        if not isinstance(g, (ZGate, SingleQubit, Toffoli)):
+            raise TypeError(f"unknown gate type {type(g).__name__}")
+        support = mask(g.support())
+        if support & used:
+            shared = wires[(support & used).bit_length() - 1]
+            raise ValueError(f"overlapping supports in one layer: wire {shared} is used twice")
+        used |= support
         if isinstance(g, ZGate):
-            outside = [w for w in g.wires if w not in position]
-            if outside:
-                if any(w in fixed_zero for w in outside):
-                    continue
-                raise CoverageError(
-                    f"z-gate wires {outside} outside state over {wires} and not fixed to 0"
-                )
-            fire = all_ones(g.wires)
+            fire = (index & support) == support
             flips = fire if flips is None else flips ^ fire
         elif isinstance(g, SingleQubit):
-            singles[bit(g.wire)] = g.u
-        elif isinstance(g, (Toffoli, Cnot)):
-            controls = (g.control,) if isinstance(g, Cnot) else g.controls
-            flip_bit = 1 << bit(g.target)
-            step = np.where(all_ones(controls), flip_bit, 0)
-            gather = (index if gather is None else gather) ^ step
+            singles[position[g.wire]] = g.u
         else:
-            raise TypeError(f"unknown gate type {type(g).__name__}")
+            controls = mask(g.controls)
+            step = np.where((index & controls) == controls, 1 << position[g.target], 0)
+            gather = (index if gather is None else gather) ^ step
     parts: list[Part] = []
     if flips is not None:
         # float32 holds +-1 exactly, at half the memory of float64.
@@ -394,23 +386,15 @@ class CompiledLayers:
         return b.amps
 
 
-def compile_layers(
-    layers: Sequence[Layer],
-    wires: Iterable[int],
-    adjoint: bool = False,
-    fixed_zero: frozenset[int] = frozenset(),
-) -> CompiledLayers:
-    """Compile layers (in application order) over a wire ordering, or their
-    adjoint (reversed order, per-gate adjoints) when ``adjoint``."""
+def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLayers:
+    """Compile layers (in application order) over a wire ordering."""
     wires = tuple(wires)
     check_width(len(wires))
     position = {w: p for p, w in enumerate(wires)}
     index = np.arange(2 ** len(wires))
-    order = reversed(layers) if adjoint else layers
     parts: list[Part] = []
-    for layer in order:
-        gates = [adjoint_gate(g) for g in layer.gates] if adjoint else layer.gates
-        parts += _compile_layer(gates, wires, position, index, fixed_zero)
+    for layer in layers:
+        parts += _compile_layer(layer.gates, wires, position, index)
     return CompiledLayers(wires, tuple(parts))
 
 
@@ -425,46 +409,21 @@ def _run_state(compiled: CompiledLayers, s: PartialState) -> PartialState:
     return PartialState(s.wires, out[:, 0])
 
 
-def apply_gate(
-    g: Gate | Part, s: PartialState | Block, fixed_zero: frozenset[int] = frozenset()
-) -> PartialState | Block:
-    """Apply one gate. ``fixed_zero`` lists wires outside the state that the
-    caller promises are |0>; a Z-gate with such a wire acts as the identity.
-
-    Every gate the simulator applies passes through here: the kernel calls
-    it with one compiled part and the :class:`Block` that the part updates
-    in place, so a profile of this function covers all simulation work."""
-    if isinstance(s, Block):
-        g.apply(s)
-        return s
-    return apply_layer(Layer((g,)), s, fixed_zero)
+def apply_gate(part: Part, block: Block) -> None:
+    """Apply one compiled part to a block in place. The kernel applies every
+    part through here, so a profile of this function covers all simulation
+    work."""
+    part.apply(block)
 
 
-def apply_layer(
-    layer: Layer, s: PartialState, fixed_zero: frozenset[int] = frozenset()
-) -> PartialState:
+def apply_layer(layer: Layer, s: PartialState) -> PartialState:
     """Apply every gate of a layer (order irrelevant: disjoint supports)."""
-    return _run_state(compile_layers((layer,), s.wires, fixed_zero=fixed_zero), s)
+    return _run_state(compile_layers((layer,), s.wires), s)
 
 
-def run(
-    c: Circuit,
-    state: PartialState,
-    from_layer: int = 0,
-    to_layer: int | None = None,
-    adjoint: bool = False,
-    fixed_zero: frozenset[int] = frozenset(),
-) -> PartialState:
-    """Apply ``layers[from_layer ..= to_layer]`` in application order, or the
-    adjoint of that slice (reversed order, per-gate adjoints) when ``adjoint``.
-
-    ``to_layer`` is inclusive and defaults to the last layer; a slice with
-    ``to_layer < from_layer`` is empty and returns the input unchanged.
-    """
-    if to_layer is None:
-        to_layer = c.depth() - 1
-    layers = [c.layers[i] for i in range(from_layer, to_layer + 1)]
-    return _run_state(compile_layers(layers, state.wires, adjoint, fixed_zero), state)
+def run(c: Circuit, state: PartialState) -> PartialState:
+    """Apply every layer of the circuit, ``layers[0]`` first."""
+    return _run_state(compile_layers(c.layers, state.wires), state)
 
 
 def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -482,9 +441,9 @@ def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]
 
 
 def read_target(s: PartialState, m: MeasurementSpec) -> TargetReading:
-    """Probability mass on target = 1; flags p1 <= 1e-9 as exactly zero."""
+    """Probability mass on target = 1; flags p1 <= ``READING_TOL`` as exactly zero."""
     p1 = s.restricted_probability(m.wire, 1)
-    return TargetReading(p1=p1, exact_zero=p1 <= EXACT_ZERO_P1)
+    return TargetReading(p1=p1, exact_zero=p1 <= READING_TOL)
 
 
 def full_input_state(c: Circuit, input_bits: dict[int, int]) -> PartialState:
@@ -493,21 +452,17 @@ def full_input_state(c: Circuit, input_bits: dict[int, int]) -> PartialState:
     return PartialState.basis(range(c.wires), input_bits)
 
 
-def dense_operator(c: Circuit, max_wires: int = 12) -> np.ndarray:
+def dense_operator(c: Circuit) -> np.ndarray:
     """Full 2^w x 2^w matrix of the circuit (column j = circuit applied to
-    basis state j). Guarded to small circuits."""
+    basis state j). Limited to ``DENSE_OPERATOR_MAX_WIRES`` wires."""
     w = c.wires
-    if w > max_wires:
-        raise ValueError(f"dense_operator limited to {max_wires} wires, circuit has {w}")
+    if w > DENSE_OPERATOR_MAX_WIRES:
+        raise ValueError(
+            f"dense_operator limited to {DENSE_OPERATOR_MAX_WIRES} wires, circuit has {w}"
+        )
     dim = 2**w
     out = np.empty((dim, dim), dtype=complex)
     for first, block in run_basis(c, np.arange(dim)):
         out[:, first : first + block.shape[1]] = block
     return out
 
-
-def states_allclose(s1: PartialState, s2: PartialState, tol: float = 1e-10) -> bool:
-    """Amplitude-wise comparison over the same wire set (no phase freedom)."""
-    if s1.wires != s2.wires:
-        return False
-    return bool(np.abs(s1.amps - s2.amps).max() <= tol)

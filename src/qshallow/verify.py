@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Cnot, MeasurementSpec, Toffoli, is_permutation_circuit
-from .sim import column_probabilities, run_basis
+from .circuits import Circuit, MeasurementSpec, Toffoli, is_permutation_circuit
+from .sim import READING_TOL, column_probabilities, run_basis
 from .reference import ReferenceOp
 
 AMPLITUDE_TOL = 1e-9
@@ -39,17 +39,13 @@ class VerifyResult:
 
 def _permutation_images(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """Route basis states (as integers, bit w = wire w) through a circuit of
-    Toffoli/Cnot gates only."""
+    Toffolis (Cnot included) only."""
     v = inputs.copy()
     for layer in c.layers:
         for g in layer.gates:
-            if isinstance(g, Cnot):
-                v ^= ((v >> g.control) & 1) << g.target
-            elif isinstance(g, Toffoli):
-                fire = np.ones_like(v)
-                for w in g.controls:
-                    fire &= (v >> w) & 1
-                v ^= fire << g.target
+            if isinstance(g, Toffoli):
+                controls = sum(1 << w for w in g.controls)
+                v ^= ((v & controls) == controls).astype(v.dtype) << g.target
             else:  # pragma: no cover - guarded by caller
                 raise TypeError(f"not a permutation gate: {type(g).__name__}")
     return v
@@ -117,9 +113,9 @@ def verify_clean(c: Circuit, op: ReferenceOp, strict_phase: bool = False) -> Ver
     """Check that the circuit cleanly computes the reference operator on every
     basis input (ancillae 0, and required to end at 0).
 
-    Permutation-only circuits (Toffoli/Cnot) are routed bit-exactly and allow
-    up to op.n + a = 16; general circuits are simulated amplitude-by-amplitude
-    and allow up to op.n + a = 10.
+    Permutation-only circuits (Toffolis, Cnot included) are routed bit-exactly
+    and allow up to op.n + a = 16; general circuits are simulated
+    amplitude-by-amplitude and allow up to op.n + a = 10.
     """
     if c.n != op.n + 1:
         raise ValueError(
@@ -153,7 +149,7 @@ def robust_check(c: Circuit, against: ReferenceOp) -> bool:
 def sensitivity_scan(c: Circuit, m: MeasurementSpec) -> tuple[int, ...]:
     """Input wires that can influence the target reading: wire i is reported
     iff flipping it on some basis input (ancillae 0) moves the target's
-    |1>-probability by more than 1e-9. Limited to n + a <= 10."""
+    |1>-probability by more than ``READING_TOL``. Limited to n + a <= 10."""
     if c.wires > DENSE_CHECK_MAX_WIRES:
         raise ValueError(f"sensitivity scan limited to n + a <= {DENSE_CHECK_MAX_WIRES}")
     xs = np.arange(2**c.n)
@@ -162,6 +158,6 @@ def sensitivity_scan(c: Circuit, m: MeasurementSpec) -> tuple[int, ...]:
         p1[first : first + out.shape[1]] = column_probabilities(out, m.wire)
     influential = []
     for i in range(c.n):
-        if np.abs(p1[xs] - p1[xs ^ (1 << i)]).max() > 1e-9:
+        if np.abs(p1[xs] - p1[xs ^ (1 << i)]).max() > READING_TOL:
             influential.append(i)
     return tuple(influential)

@@ -14,7 +14,7 @@ from qshallow import (
     ReferenceOp,
     SingleQubit,
     ZGate,
-    apply_gate,
+    apply_layer,
     build_parity_logdepth,
     certificate_from_json,
     certificate_to_json,
@@ -244,7 +244,7 @@ def test_witness_pullback_structure():
                 if (layer_index, j) in killed_here:
                     continue
                 if g.support() <= set(s_prev.committed):
-                    forward = apply_gate(g, forward)
+                    forward = apply_layer(Layer([g]), forward)
             recruited = tuple(
                 w for w in s_next.committed if w not in s_prev.committed
             )

@@ -11,7 +11,6 @@ from qshallow import (
     Toffoli,
     ZGate,
     build_parity_logdepth,
-    circuits_equal,
     dense_operator,
     is_single_qubit_z_circuit,
     parse_circuit,
@@ -112,7 +111,7 @@ def test_parse_out_of_range_wire():
 def test_roundtrip_parity_construction():
     c = build_parity_logdepth(8)
     again = parse_circuit(serialize_circuit(c))
-    assert circuits_equal(c, again)
+    assert c == again
     # serialize ∘ parse is the canonical form: byte-stable
     assert serialize_circuit(again) == serialize_circuit(c)
 
@@ -130,7 +129,7 @@ def test_roundtrip_all_gate_kinds():
         ),
     )
     again = parse_circuit(serialize_circuit(c))
-    assert circuits_equal(c, again)
+    assert c == again
 
 
 def test_roundtrip_preserves_exact_matrix_entries():
@@ -154,7 +153,7 @@ def test_rewrite_single_toffoli_matches_on_all_basis_states():
 
 def test_rewrite_no_toffoli_unchanged():
     c = Circuit(n=2, a=0, target=0, layers=(Layer([ZGate((0, 1))]),))
-    assert circuits_equal(rewrite_toffoli_to_z(c), c)
+    assert rewrite_toffoli_to_z(c) == c
 
 
 def test_rewrite_cnot_dense_equality():

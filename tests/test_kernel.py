@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qshallow import (
+    HADAMARD,
+    PAULI_X,
     Circuit,
     Cnot,
     CoverageError,
@@ -15,8 +17,11 @@ from qshallow import (
     SingleQubit,
     Toffoli,
     ZGate,
+    apply_layer,
+    circuit_sha256,
     kill_run,
     run,
+    serialize_circuit,
     strip_killed,
     verify_kill,
 )
@@ -29,6 +34,7 @@ from qshallow.sim import (
     Contraction,
     Gather,
     SignFlip,
+    adjoint_gate,
     block_columns,
     compile_layers,
     run_basis,
@@ -57,9 +63,8 @@ def gate_matrix(g, wires):
         for x in g.wires:
             fire &= bit(x)
         return np.diag(1.0 - 2.0 * fire).astype(complex)
-    controls = (g.control,) if isinstance(g, Cnot) else g.controls
     fire = np.ones(2**w, dtype=int)
-    for x in controls:
+    for x in g.controls:
         fire &= bit(x)
     image = index ^ (fire << wires.index(g.target))
     perm = np.zeros((2**w, 2**w), dtype=complex)
@@ -67,20 +72,18 @@ def gate_matrix(g, wires):
     return perm
 
 
-def layer_matrix(layer, wires, fixed_zero=frozenset()):
+def layer_matrix(layer, wires):
     m = np.eye(2 ** len(wires), dtype=complex)
     for g in layer.gates:
-        if isinstance(g, ZGate) and (set(g.wires) - set(wires)) & fixed_zero:
-            continue  # a pinned wire outside the state: the identity
         m = gate_matrix(g, wires) @ m
     return m
 
 
-def slice_matrix(c, wires, lo=0, hi=None, adjoint=False, fixed_zero=frozenset()):
+def slice_matrix(c, wires, lo=0, hi=None, adjoint=False):
     hi = c.depth() - 1 if hi is None else hi
     m = np.eye(2 ** len(wires), dtype=complex)
     for i in range(lo, hi + 1):
-        m = layer_matrix(c.layers[i], wires, fixed_zero) @ m
+        m = layer_matrix(c.layers[i], wires) @ m
     return m.conj().T if adjoint else m
 
 
@@ -168,51 +171,57 @@ def test_kernel_matches_dense_reference(kind, seed):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_slices_and_adjoint_match_dense_reference(kind, seed):
+    """A layer slice, and its adjoint as ``kill_step`` builds it (the slice's
+    layers reversed, each gate replaced by ``adjoint_gate``), compiled."""
     c, rng = ensemble(kind, 100 + seed)
     wires = tuple(range(c.wires))
-    s = PartialState(wires, random_columns(rng, c.wires, 1)[:, 0])
+    block = random_columns(rng, c.wires, 3)
     for lo in range(c.depth()):
         for hi in range(lo - 1, c.depth()):
-            for adjoint in (False, True):
-                expect = slice_matrix(c, wires, lo, hi, adjoint) @ s.amps
-                out = run(c, s, from_layer=lo, to_layer=hi, adjoint=adjoint)
-                assert np.abs(out.amps - expect).max() <= TOL
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_fixed_zero_z_gates_and_coverage(seed):
-    rng = np.random.default_rng(200 + seed)
-    c = random_single_qubit_z_circuit(5, 3, 3, rng)
-    pinned = frozenset({1, 6})
-    # Keep the state off the pinned wires: drop the single-qubit gates there.
-    c = Circuit(
-        n=c.n,
-        a=c.a,
-        target=c.target,
-        layers=tuple(
-            Layer(g for g in layer.gates if not (isinstance(g, SingleQubit) and g.wire in pinned))
-            for layer in c.layers
-        ),
-    )
-    wires = tuple(w for w in range(c.wires) if w not in pinned)
-    block = random_columns(rng, len(wires), 4)
-    out = compile_layers(c.layers, wires, fixed_zero=pinned).apply(block.copy())
-    assert np.abs(out - slice_matrix(c, wires, fixed_zero=pinned) @ block).max() <= TOL
-    straddles = any(
-        isinstance(g, ZGate) and set(g.wires) & pinned for layer in c.layers for g in layer.gates
-    )
-    if straddles:
-        with pytest.raises(CoverageError, match="not fixed to 0"):
-            compile_layers(c.layers, wires)
-        with pytest.raises(CoverageError, match="not fixed to 0"):
-            compile_layers(c.layers, wires, fixed_zero=frozenset({0}))
+            layers = c.layers[lo : hi + 1]
+            inverse = [Layer(adjoint_gate(g) for g in layer.gates) for layer in reversed(layers)]
+            for adjoint, sliced in ((False, layers), (True, inverse)):
+                expect = slice_matrix(c, wires, lo, hi, adjoint) @ block
+                out = compile_layers(sliced, wires).apply(block.copy())
+                assert np.abs(out - expect).max() <= TOL
 
 
 def test_coverage_error_for_single_qubit_and_toffoli():
-    with pytest.raises(CoverageError, match="not covered"):
-        compile_layers((Layer([SingleQubit(3, np.eye(2))]),), (0, 1))
-    with pytest.raises(CoverageError, match="not covered"):
-        compile_layers((Layer([Toffoli((0, 4), 1)]),), (0, 1), fixed_zero=frozenset({4}))
+    for gate in (SingleQubit(3, np.eye(2)), Toffoli((0, 4), 1), ZGate((0, 4))):
+        with pytest.raises(CoverageError, match="not covered"):
+            compile_layers((Layer([gate]),), (0, 1))
+        with pytest.raises(CoverageError, match="not covered"):
+            apply_layer(Layer([gate]), PartialState.zero((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        Layer([SingleQubit(0, PAULI_X), SingleQubit(0, HADAMARD)]),
+        Layer([Cnot(0, 1), Toffoli((), 0)]),
+    ],
+    ids=["x-and-h", "cnot-and-x"],
+)
+def test_layer_with_overlapping_supports_is_refused(layer):
+    c = Circuit(n=2, a=0, target=1, layers=(layer,))
+    with pytest.raises(ValueError, match="overlapping supports.*wire 0"):
+        run(c, PartialState.zero((0, 1)))
+    with pytest.raises(ValueError, match="overlapping supports.*wire 0"):
+        apply_layer(layer, PartialState.zero((0, 1)))
+
+
+def test_cnot_is_a_one_control_toffoli():
+    cnot, toffoli = Cnot(0, 1), Toffoli((0,), 1)
+    assert isinstance(cnot, Toffoli) and cnot.controls == (0,) and cnot.control == 0
+    assert cnot != toffoli and cnot.support() == toffoli.support()
+    (from_cnot,) = compile_layers((Layer([cnot]),), range(3)).parts
+    (from_toffoli,) = compile_layers((Layer([toffoli]),), range(3)).parts
+    assert np.array_equal(from_cnot.index, from_toffoli.index)
+    as_cnot = Circuit(n=2, a=0, target=1, layers=(Layer([cnot]),))
+    as_toffoli = Circuit(n=2, a=0, target=1, layers=(Layer([toffoli]),))
+    assert '"kind": "cnot"' in serialize_circuit(as_cnot)
+    assert '"kind": "toffoli"' in serialize_circuit(as_toffoli)
+    assert circuit_sha256(as_cnot) != circuit_sha256(as_toffoli)
 
 
 def test_each_layer_compiles_to_one_diagonal_one_permutation_and_contractions():
@@ -244,9 +253,9 @@ def test_every_part_is_applied_through_apply_gate(monkeypatch):
     seen = []
     original = sim.apply_gate
 
-    def counting(g, s, fixed_zero=frozenset()):
-        seen.append((type(g), s.wires, s.amps.shape))
-        return original(g, s, fixed_zero)
+    def counting(part, block):
+        seen.append((type(part), block.wires, block.amps.shape))
+        return original(part, block)
 
     monkeypatch.setattr(sim, "apply_gate", counting)
     out = run(c, PartialState.zero(range(3)))
@@ -395,8 +404,9 @@ def test_verify_kill_batch_matches_per_state_runs(seed, trials):
     diffs = []
     for (p_full, p_killed), rest in zip(result.readings, rests):
         start = rest.tensor(s.psi)
-        full = run(c, start, from_layer=c.depth() - s.k)
-        killed = run(stripped, start, from_layer=c.depth() - s.k)
+        suffix = slice(c.depth() - s.k, None)
+        full = run(dataclasses.replace(c, layers=c.layers[suffix]), start)
+        killed = run(dataclasses.replace(stripped, layers=stripped.layers[suffix]), start)
         assert abs(p_full - full.restricted_probability(c.target, 1)) <= TOL
         assert abs(p_killed - killed.restricted_probability(c.target, 1)) <= TOL
         diffs.append(np.abs(full.amps - killed.amps).max())

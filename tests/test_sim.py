@@ -13,7 +13,6 @@ from qshallow import (
     SingleQubit,
     Toffoli,
     ZGate,
-    apply_gate,
     apply_layer,
     dense_operator,
     full_input_state,
@@ -21,6 +20,7 @@ from qshallow import (
     run,
 )
 from qshallow.randcirc import random_bounded_arity_circuit
+from qshallow.sim import adjoint_gate
 
 # Little-endian CNOT(control=0, target=1): basis index b0 + 2*b1.
 CNOT01_DENSE = np.array(
@@ -38,6 +38,18 @@ def basis(wires, ones=()):
     return PartialState.basis(wires, {w: 1 for w in ones})
 
 
+def apply_one(g, s):
+    return apply_layer(Layer([g]), s)
+
+
+def undo(c, s):
+    """Pull a state back through the circuit the way ``kill_step`` does: the
+    per-gate adjoints of each layer, last layer first."""
+    for layer in reversed(c.layers):
+        s = apply_layer(Layer(adjoint_gate(g) for g in layer.gates), s)
+    return s
+
+
 def test_state_validation():
     with pytest.raises(ValueError, match="norm"):
         PartialState((0,), np.array([1.0, 1.0], dtype=complex))
@@ -49,26 +61,26 @@ def test_state_validation():
 
 def test_z_gate_signs():
     s = basis((0, 1), ones=(0, 1))
-    out = apply_gate(ZGate((0, 1)), s)
+    out = apply_one(ZGate((0, 1)), s)
     assert out.amps[3] == -1.0
     s01 = basis((0, 1), ones=(1,))
-    out01 = apply_gate(ZGate((0, 1)), s01)
+    out01 = apply_one(ZGate((0, 1)), s01)
     assert np.array_equal(out01.amps, s01.amps)
 
 
 def test_toffoli_basis_action():
     s = basis((0, 1, 2), ones=(0, 1))  # |110> in wire order 0,1,2
-    out = apply_gate(Toffoli((0, 1), 2), s)
+    out = apply_one(Toffoli((0, 1), 2), s)
     assert out.amps[0b111] == 1.0
     # control not satisfied: unchanged
     s2 = basis((0, 1, 2), ones=(0,))
-    out2 = apply_gate(Toffoli((0, 1), 2), s2)
+    out2 = apply_one(Toffoli((0, 1), 2), s2)
     assert np.array_equal(out2.amps, s2.amps)
 
 
 def test_hadamard_involution():
-    plus = apply_gate(SingleQubit(0, HADAMARD), PartialState.zero((0,)))
-    back = apply_gate(SingleQubit(0, HADAMARD), plus)
+    plus = apply_one(SingleQubit(0, HADAMARD), PartialState.zero((0,)))
+    back = apply_one(SingleQubit(0, HADAMARD), plus)
     assert abs(back.amps[0] - 1.0) <= 1e-12
 
 
@@ -89,7 +101,7 @@ def test_layer_z_and_x_composes():
     # {Z({0,1}), X(2)} on |110> -> -|111>: compose the two single-gate results.
     s = basis((0, 1, 2), ones=(0, 1))
     via_layer = apply_layer(Layer([ZGate((0, 1)), SingleQubit(2, PAULI_X)]), s)
-    via_gates = apply_gate(SingleQubit(2, PAULI_X), apply_gate(ZGate((0, 1)), s))
+    via_gates = apply_one(SingleQubit(2, PAULI_X), apply_one(ZGate((0, 1)), s))
     assert np.array_equal(via_layer.amps, via_gates.amps)
     assert via_layer.amps[0b111] == -1.0
 
@@ -97,17 +109,9 @@ def test_layer_z_and_x_composes():
 def test_gate_outside_state_refused():
     s = PartialState.zero((0, 1))
     with pytest.raises(CoverageError):
-        apply_gate(Cnot(0, 2), s)
+        apply_one(Cnot(0, 2), s)
     with pytest.raises(CoverageError):
-        apply_gate(ZGate((1, 2)), s)
-
-
-def test_z_gate_fixed_zero_exception():
-    s = apply_gate(SingleQubit(0, HADAMARD), PartialState.zero((0, 1)))
-    out = apply_gate(ZGate((0, 5)), s, fixed_zero=frozenset({5}))
-    assert np.array_equal(out.amps, s.amps)
-    with pytest.raises(CoverageError, match="not fixed to 0"):
-        apply_gate(ZGate((0, 5)), s, fixed_zero=frozenset({6}))
+        apply_one(ZGate((1, 2)), s)
 
 
 def test_run_slices_and_adjoint():
@@ -122,13 +126,13 @@ def test_run_slices_and_adjoint():
         ),
     )
     s = PartialState.zero((0, 1, 2))
-    assert np.array_equal(run(c, s, 0, -1).amps, s.amps)  # empty slice
+    assert np.array_equal(run(Circuit(n=3, a=0, target=2), s).amps, s.amps)  # no layers
     full = run(c, s)
     expect = (np.zeros(8, dtype=complex))
     expect[0] = 1 / np.sqrt(2)
     expect[0b111] = 1 / np.sqrt(2)
     assert np.abs(full.amps - expect).max() <= 1e-12
-    back = run(c, full, adjoint=True)
+    back = undo(c, full)
     assert np.abs(back.amps - s.amps).max() <= 1e-10
 
 
@@ -137,7 +141,7 @@ def test_read_target():
     zero = PartialState.zero((0,))
     r = read_target(zero, m)
     assert r.p1 == 0.0 and r.exact_zero
-    plus = apply_gate(SingleQubit(0, HADAMARD), zero)
+    plus = apply_one(SingleQubit(0, HADAMARD), zero)
     r = read_target(plus, m)
     assert abs(r.p1 - 0.5) <= 1e-12 and not r.exact_zero
 
@@ -157,7 +161,7 @@ def test_dense_operator_guard():
 
 def test_tensor_and_extend():
     a = basis((1,), ones=(1,))
-    b = apply_gate(SingleQubit(4, HADAMARD), PartialState.zero((4,)))
+    b = apply_one(SingleQubit(4, HADAMARD), PartialState.zero((4,)))
     joint = a.tensor(b)
     assert joint.wires == (1, 4)
     # wire 1 is bit 0, wire 4 is bit 1: |1> x |+> has mass on indices 1 and 3
@@ -178,7 +182,7 @@ def test_norm_preserved_and_adjoint_inverts(seed):
     s = PartialState.random(range(c.wires), rng)
     out = run(c, s)
     assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-10
-    back = run(c, out, adjoint=True)
+    back = undo(c, out)
     assert np.abs(back.amps - s.amps).max() <= 1e-10
 
 
@@ -203,7 +207,7 @@ def test_z_gate_diagonal_on_basis_states():
         gate = ZGate(tuple(sorted(rng.choice(wires, size=2, replace=False))))
         ones = [w for w in wires if rng.random() < 0.5]
         s = basis(wires, ones)
-        out = apply_gate(gate, s)
+        out = apply_one(gate, s)
         assert np.abs(np.abs(out.amps) - np.abs(s.amps)).max() == 0.0
         index = int(np.nonzero(s.amps)[0][0])
         assert abs(out.amps[index]) == 1.0

@@ -9,6 +9,7 @@ from qshallow import (
     MeasurementSpec,
     ReferenceOp,
     SingleQubit,
+    Toffoli,
     ZGate,
     build_parity_logdepth,
     conjugate_parity_to_fanout,
@@ -17,6 +18,8 @@ from qshallow import (
     verify_clean,
 )
 from qshallow.randcirc import random_bounded_arity_circuit
+from qshallow.sim import run_basis
+from qshallow.verify import _permutation_images
 
 
 def test_parity_construction_verifies():
@@ -93,6 +96,31 @@ def test_permutation_and_dense_paths_agree():
         )
         slow = verify_clean(padded, ReferenceOp("parity", 3))
         assert fast.ok == slow.ok == True  # noqa: E712
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permutation_images_match_the_kernel(seed):
+    """The bit-level oracle and the compiled kernel agree on Cnots and on
+    Toffolis with 0-3 controls."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(4):
+        order = [int(w) for w in rng.permutation(7)]
+        gates = []
+        while order:
+            size = min(int(rng.integers(1, 5)), len(order))
+            group, order = order[:size], order[size:]
+            if size == 2 and rng.random() < 0.5:
+                gates.append(Cnot(*group))
+            else:
+                gates.append(Toffoli(tuple(group[1:]), group[0]))
+        layers.append(Layer(gates))
+    c = Circuit(n=7, a=0, target=0, layers=tuple(layers))
+    inputs = np.arange(2**7)
+    images = _permutation_images(c, inputs)
+    for first, block in run_basis(c, inputs):
+        columns = np.abs(block).argmax(axis=0)
+        assert np.array_equal(columns, images[first : first + block.shape[1]])
 
 
 def test_sensitivity_scan_full_parity():
