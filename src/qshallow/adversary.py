@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .circuits import (
     MeasurementSpec,
     SingleQubit,
     ZGate,
+    backward_cone,
     circuit_sha256,
     is_single_qubit_z_circuit,
 )
@@ -415,19 +416,26 @@ def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
 def flip_pair(
     c: Circuit, m: MeasurementSpec, psi: PartialState, free_input: int
 ) -> tuple[tuple[TargetReading, TargetReading], tuple[float, float]]:
-    """The two-input check that ends every no-side argument. Runs the circuit
-    on all-zeros over the wires ``psi`` leaves out, tensored with ``psi``, and
-    on the same with ``free_input`` set. Returns the circuit's readings of
-    the measured wire on both inputs, then the parity operator's."""
-    rest = tuple(w for w in range(c.wires) if w not in psi.wires)
-    ones = parity_mask(tuple(sorted(rest + psi.wires)), m.wire, c.n)
-    readings = []
-    parity = []
-    for bits in ({}, {free_input: 1}):
-        start = PartialState.basis(rest, bits).tensor(psi)
-        readings.append(read_target(run(c, start), m))
-        parity.append(float(np.sum(np.abs(start.amps[ones]) ** 2)))
-    return (readings[0], readings[1]), (parity[0], parity[1])
+    """The two-input check that ends every no-side argument. The inputs are
+    all-zeros over the wires ``psi`` leaves out, tensored with ``psi``, and
+    the same with the input wire ``free_input`` (outside ``psi``) set.
+    Returns the circuit's readings of the measured wire on both inputs, then
+    the parity operator's.
+
+    Only the measured wire's backward cone is simulated: its gates, on the
+    cone's wires outside ``psi`` tensored with ``psi``. The parity readings
+    come from ``psi`` and the bits alone: the baseline one is psi's mass of
+    odd parity and, the free input adding one set bit, the flipped one its
+    mass of even parity."""
+    sets, cone = backward_cone(c, m.wire)
+    rest = tuple(w for w in sets[-1] if w not in psi.wires)
+    readings = [
+        read_target(run(cone, PartialState.basis(rest, bits).tensor(psi)), m)
+        for bits in ({}, {free_input: 1})
+    ]
+    mass = np.abs(psi.amps) ** 2
+    odd = parity_mask(psi.wires, m.wire, c.n)
+    return (readings[0], readings[1]), (float(np.sum(mass[odd])), float(np.sum(mass[~odd])))
 
 
 def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
@@ -488,24 +496,7 @@ def certificate_to_json(cert: KillCertificate) -> str:
         "circuit_sha256": cert.circuit_sha256,
         "against": cert.against,
         "mode": cert.mode,
-        "history": [
-            {
-                "k": e.k,
-                "committed": list(e.committed),
-                "fresh": list(e.fresh),
-                "killed": [
-                    {
-                        "layer": r.layer,
-                        "gate_index": r.gate_index,
-                        "wires": list(r.wires),
-                        "pinned_wire": r.pinned_wire,
-                        "via": r.via,
-                    }
-                    for r in e.killed
-                ],
-            }
-            for e in cert.history
-        ],
+        "history": [asdict(e) for e in cert.history],
         "witness": {
             "wires": list(cert.psi_wires),
             "amps": [[v.real, v.imag] for v in cert.psi_amps],
@@ -532,16 +523,7 @@ def certificate_from_json(text: str) -> KillCertificate:
             k=e["k"],
             committed=tuple(e["committed"]),
             fresh=tuple(e["fresh"]),
-            killed=tuple(
-                KillRecord(
-                    layer=r["layer"],
-                    gate_index=r["gate_index"],
-                    wires=tuple(r["wires"]),
-                    pinned_wire=r["pinned_wire"],
-                    via=r["via"],
-                )
-                for r in e["killed"]
-            ),
+            killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
         )
         for e in obj["history"]
     )

@@ -162,6 +162,28 @@ class MeasurementSpec:
     wire: int
 
 
+def backward_cone(c: Circuit, wire: int) -> tuple[tuple[frozenset[int], ...], Circuit]:
+    """Walk from the output layer toward the input, growing the set of wires
+    that can influence ``wire`` by the support of every gate touching it.
+
+    Returns the set after each layer, ``sets[0]`` at the output (just
+    ``({wire},)`` for a circuit of depth 0), and the circuit that keeps only
+    the gates the walk grew through, with the same n, a, target and depth.
+    Every dropped gate commutes past the measurement of ``wire``, so the kept
+    circuit reads that wire exactly as ``c`` does, on a state that need
+    cover only the last set's wires."""
+    current = frozenset((wire,))
+    sets: list[frozenset[int]] = []
+    kept: list[Layer] = []
+    for layer in reversed(c.layers):
+        gates = [g for g in layer.gates if g.support() & current]
+        current = current.union(*(g.support() for g in gates))
+        sets.append(current)
+        kept.append(Layer(gates))
+    cone = Circuit(n=c.n, a=c.a, target=c.target, layers=tuple(reversed(kept)))
+    return tuple(sets) or (current,), cone
+
+
 def gate_kinds(c: Circuit) -> set[str]:
     kinds: set[str] = set()
     for layer in c.layers:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adversary import READING_TOL, analyzed_circuit, flip_pair
-from .circuits import Circuit, MeasurementSpec
+from .circuits import Circuit, MeasurementSpec, backward_cone
 from .reference import OpKind
 from .sim import PartialState, TargetReading
 
@@ -61,22 +61,11 @@ def lightcone(c: Circuit, m: MeasurementSpec) -> LightconeReport:
     if not 0 <= m.wire < c.wires:
         raise ValueError(f"measured wire {m.wire} out of range")
     k = c.max_arity()
-    current = frozenset((m.wire,))
-    sets: list[frozenset[int]] = []
-    for layer in reversed(c.layers):
-        grown = set(current)
-        for g in layer.gates:
-            support = g.support()
-            if support & current:
-                grown |= support
-        current = frozenset(grown)
-        sets.append(current)
-    if not sets:
-        sets = [current]
+    sets, _ = backward_cone(c, m.wire)
     free_inputs = tuple(w for w in range(c.n) if w not in sets[-1])
     bounds = tuple(k ** i for i in range(1, len(sets) + 1))
     return LightconeReport(
-        sets=tuple(sets), max_arity=k, bound_per_level=bounds, free_inputs=free_inputs
+        sets=sets, max_arity=k, bound_per_level=bounds, free_inputs=free_inputs
     )
 
 

@@ -81,13 +81,15 @@ def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
 
 
 def parity_mask(wires: tuple[int, ...], measured: int, n: int) -> np.ndarray:
-    """Over the amplitude indices of a state on ``wires``, which must cover
-    every input wire 0..n-1: where the parity operator leaves the measured
-    wire at 1. The measured wire is b and every other input wire is a summed
-    bit."""
-    summed = tuple(w for w in range(n) if w != measured)
-    op = ReferenceOp("parity", len(summed))
-    return (op.basis_map(_op_index(wires, summed + (measured,))) >> op.n) & 1 == 1
+    """Over the amplitude indices of a state on ``wires``: where the parity
+    operator leaves the measured wire at 1, every wire outside ``wires``
+    being 0. The reading is the XOR of the counted wires: the input wires
+    among ``wires`` and the measured wire (b, itself an input or an ancilla)."""
+    counted = tuple(w for w in wires if w < n or w == measured)
+    # The op sums the counted wires into its b bit, left at 0; with no wire
+    # counted, one padding bit (always 0) keeps its arity at least 1.
+    op = ReferenceOp("parity", max(len(counted), 1))
+    return (op.basis_map(_op_index(wires, counted)) >> op.n) & 1 == 1
 
 
 def reference_dense(op: ReferenceOp) -> np.ndarray:

@@ -26,8 +26,8 @@ entry points, batch-of-1 wrappers over the kernel; loops over many states
 amplitudes each, or one column when a single state is larger.
 
 No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
-:class:`PartialState` constructors, :func:`full_input_state` and the kernel
-refuse such widths with ``ValueError``.
+:class:`PartialState` constructors, :func:`full_input_state`,
+:func:`bit_table` and the kernel refuse such widths with ``ValueError``.
 
 A gate that touches a wire outside the state raises :class:`CoverageError`,
 and two gates of one layer on a shared wire raise ``ValueError``.
@@ -73,6 +73,7 @@ def check_width(width: int) -> None:
 def bit_table(weights: Sequence[int]) -> np.ndarray:
     """Entry j is the OR of ``weights[b]`` over the set bits b of j: the map
     from an index with one bit per weight to the bits those weights set."""
+    check_width(len(weights))
     table = np.zeros(1 << len(weights), dtype=np.int64)
     for b, weight in enumerate(weights):
         np.bitwise_or(table[: 1 << b], weight, out=table[1 << b : 2 << b])

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -364,6 +366,11 @@ def test_certificate_json_roundtrip_byte_exact():
     assert certificate_to_json(again) == text
     assert again == cert
     assert recheck_certificate(again, c)
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "golden.json").read_text())
+    texts = [t for name, t in golden.items() if name.startswith("certificate ") and t[0] == "{"]
+    assert len(texts) > 80
+    for text in texts:
+        assert certificate_to_json(certificate_from_json(text)) == text
 
 
 def test_recheck_rejects_wrong_circuit():

@@ -10,7 +10,7 @@ import pytest
 
 from qshallow import serialize_circuit
 from qshallow.cli import main
-from qshallow.randcirc import random_single_qubit_z_circuit
+from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
 @pytest.fixture
@@ -273,3 +273,27 @@ def test_adversary_selfcheck_runs_the_construction_once(random12, monkeypatch, c
     out = capsys.readouterr().out.splitlines()
     assert any(line.startswith("witness self-check over") and line.endswith("(ok)") for line in out)
     assert len(calls) == 1
+
+
+def test_lightcone_too_wide_cone_exits_2_without_allocating(tmp_path, capsys):
+    path = tmp_path / "wide41.json"
+    gate = {"kind": "z", "wires": list(range(40))}
+    doc = {"n": 41, "ancillae": 0, "target": 0, "layers": [[gate]]}
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["lightcone", "--circuit", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds the 24-wire simulation limit" in capsys.readouterr().err
+    assert peak < 2**20  # a table over 41 wires would be 16 TiB
+
+
+def test_lightcone_verdict_at_n_1024(tmp_path, capsys):
+    path = tmp_path / "wide1024.json"
+    c = random_bounded_arity_circuit(1024, 0, 4, np.random.default_rng(3))
+    path.write_text(serialize_circuit(c))
+    assert main(["lightcone", "--circuit", str(path)]) == 1
+    assert "verdict: not-parity" in capsys.readouterr().out

@@ -1,7 +1,9 @@
 """The parity operator's readings on a verdict's two inputs, checked against
 a plain-Python XOR over basis indices that shares no code with the package:
 the certificate's ``reference_readings`` and the lightcone pair's
-``parity_readings``, with the measured wire at 0, at n-1 and on an ancilla."""
+``parity_readings``, with the measured wire at 0, at n-1 and on an ancilla.
+Also: ``flip_pair``, which simulates only the measured wire's backward cone,
+against a simulation over every wire, and smoke tests at paper scale."""
 
 from __future__ import annotations
 
@@ -10,7 +12,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qshallow import MeasurementSpec, lightcone_counterexample, parity_certificate
+from qshallow import (
+    MeasurementSpec,
+    PartialState,
+    is_single_qubit_z_circuit,
+    kill_run,
+    lightcone_counterexample,
+    parity_certificate,
+    read_target,
+    recheck_certificate,
+    run,
+)
+from qshallow.adversary import analyzed_circuit, flip_pair
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
@@ -74,3 +87,58 @@ def test_lightcone_parity_readings_match_plain_xor(where, against):
         assert pair.parity_readings == expected
         checked += 1
     assert checked >= 3
+
+
+def _full_reading(c, m, psi, bits):
+    """The measured wire's reading from a simulation over every wire."""
+    rest = tuple(w for w in range(c.wires) if w not in psi.wires)
+    return read_target(run(c, PartialState.basis(rest, bits).tensor(psi)), m).p1
+
+
+def _cone_cases(where, against):
+    """Flip-pair inputs on circuits of at most 12 wires from both ensembles:
+    the witness of a kill run (Z ensemble only) and a random psi over a
+    random wire subset, each with an input wire outside psi to flip."""
+    n, a = 9, 2
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        for c in (
+            random_single_qubit_z_circuit(n, a, 4, rng),
+            random_bounded_arity_circuit(n, a, 3, rng),
+        ):
+            c = analyzed_circuit(dataclasses.replace(c, target=_measured_wire(where, n)), against)
+            m = MeasurementSpec(c.target)
+            if is_single_qubit_z_circuit(c):
+                psi = kill_run(c, "basic").psi
+                yield c, m, psi, min(w for w in range(n) if w not in psi.wires)
+            wires = rng.choice(c.wires, size=int(rng.integers(0, 5)), replace=False)
+            psi = PartialState.random(wires.tolist(), rng)
+            yield c, m, psi, min(w for w in range(n) if w not in psi.wires)
+
+
+@pytest.mark.parametrize("where", MEASURED)
+@pytest.mark.parametrize("against", ["parity", "fanout"])
+def test_cone_flip_pair_matches_full_simulation(where, against):
+    checked = 0
+    for c, m, psi, flip in _cone_cases(where, against):
+        readings, parity = flip_pair(c, m, psi, flip)
+        for reading, bits in zip(readings, ({}, {flip: 1})):
+            assert reading.p1 == pytest.approx(_full_reading(c, m, psi, bits), abs=1e-12)
+        for reading, flipped in zip(parity, (None, flip)):
+            expected = plain_parity_reading(c.n, m.wire, psi.wires, psi.amps, flipped)
+            assert reading == pytest.approx(expected, abs=1e-12)
+        checked += 1
+    assert checked == 12
+
+
+def test_lightcone_pair_at_n_1024():
+    c = random_bounded_arity_circuit(1024, 0, 4, np.random.default_rng(3))
+    pair = lightcone_counterexample(c, MeasurementSpec(c.target))
+    assert pair is not None and pair.parity_readings == (0.0, 1.0)
+
+
+def test_certificate_at_n_1000_rechecks():
+    c = random_single_qubit_z_circuit(1000, 0, 4, np.random.default_rng(0))
+    cert = parity_certificate(c)
+    assert cert.verdict == "not-parity"
+    assert recheck_certificate(cert, c)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from qshallow import (
     run,
 )
 from qshallow.randcirc import random_bounded_arity_circuit
-from qshallow.sim import adjoint_gate
+from qshallow.sim import adjoint_gate, bit_table
 
 # Little-endian CNOT(control=0, target=1): basis index b0 + 2*b1.
 CNOT01_DENSE = np.array(
@@ -226,3 +228,14 @@ def test_dense_operator_is_unitary(seed):
     c = random_bounded_arity_circuit(4, 1, 3, rng, max_arity=3)
     u = dense_operator(c)
     assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-9
+
+
+def test_bit_table_refuses_a_wide_table_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="24-wire simulation limit"):
+            bit_table([1] * 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the table would be 8 TiB
