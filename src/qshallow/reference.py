@@ -194,9 +194,11 @@ class TradeoffBound:
     """Minimum-depth formulas for computing an operator on n bits with a
     ancillae, as real numbers (callers take ceilings against integer depths).
 
-    ``unbounded_gate_depth`` applies to circuits of single-qubit plus
-    arbitrary-arity Toffoli/Z gates; ``bounded_gate_depth`` applies to
-    circuits whose gate arity is bounded (any number of ancillae).
+    ``unbounded_gate_depth`` counts layers of the single-qubit + Z form that
+    the gate-killing argument analyzes: a circuit with Toffoli or Cnot gates
+    is measured after :func:`rewrite_toffoli_to_z`, which turns each of its
+    Toffoli layers into three. ``bounded_gate_depth`` applies to circuits
+    whose gate arity is bounded (any number of ancillae).
     """
 
     gate: OpKind
@@ -208,7 +210,8 @@ class TradeoffBound:
 
 def tradeoff_bound(n: int, a: int, gate: OpKind) -> TradeoffBound:
     """Depth lower bounds: parity needs depth >= 2*log2(n/(a+1)) against
-    unbounded-arity Toffoli/Z circuits and >= log2(n) against bounded-arity
+    unbounded-arity Toffoli/Z circuits, counted in single-qubit + Z layers
+    after :func:`rewrite_toffoli_to_z`, and >= log2(n) against bounded-arity
     circuits; fanout sheds 2 layers from each (its Hadamard conjugation),
     never going below 0."""
     if n < 1 or a < 0:

@@ -35,6 +35,15 @@ from qshallow import (
     verify_kill,
 )
 from qshallow.randcirc import random_single_qubit_z_circuit
+import qshallow.adversary as adversary
+import qshallow.sim as sim
+from qshallow.sim import (
+    block_columns,
+    column_probabilities,
+    compile_layers,
+    random_amps,
+    tensor_indices,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -214,6 +223,125 @@ def test_verify_kill_depth_one_z_fed_all_ones_rest():
     rest_state = PartialState.basis(s.rest, {w: 1 for w in s.rest})
     out = run(c, rest_state.tensor(s.psi))
     assert read_target(out, MeasurementSpec(0)).p1 == 0.0
+
+
+def two_suffix_verify_kill(c, s, trials, seed):
+    """(readings, max state diff, ok) with each block simulated through two
+    independently compiled suffixes, the full one and the stripped one, from
+    the same draws in the same blocks as ``verify_kill``."""
+    rng = np.random.default_rng(seed)
+    from_layer = c.depth() - s.k
+    wires, own, theirs = tensor_indices(s.rest, s.psi.wires)
+    full = compile_layers(c.layers[from_layer:], wires)
+    stripped = compile_layers(strip_killed(c, s.killed).layers[from_layer:], wires)
+    target = wires.index(c.target)
+    witness = s.psi.amps[theirs][:, None]
+    count = trials + 1
+    step = block_columns(len(wires))
+    readings, diffs = [], []
+    for first in range(0, count, step):
+        rest = np.zeros((2 ** len(s.rest), min(step, count - first)), dtype=complex)
+        for j in range(rest.shape[1]):
+            if first + j == 0 or not s.rest:
+                rest[0, j] = 1.0
+            else:
+                rest[:, j] = random_amps(len(s.rest), rng)
+        start = rest[own] * witness
+        out_full = full.apply(start.copy())
+        out_killed = stripped.apply(start)
+        p_full = column_probabilities(out_full, target)
+        p_killed = column_probabilities(out_killed, target)
+        readings += zip(p_full.tolist(), p_killed.tolist())
+        diffs.append(np.abs(out_killed - out_full).max())
+    max_diff = float(max(diffs))
+    ok = max(max(pair) for pair in readings) <= 1e-9 and max_diff <= 1e-10
+    return readings, max_diff, ok
+
+
+def kill_states(c, mode):
+    """Every KillState of the construction, from the base case to k = depth."""
+    s = kill_base(c, mode)
+    states = [s]
+    while s.k < c.depth():
+        s = kill_step(s, c)
+        states.append(s)
+    return states
+
+
+def test_verify_kill_matches_two_independent_suffix_runs():
+    """Sharing the part of the two suffixes before the first killed gate
+    changes no reading. The seeds put the first killed layer at every offset
+    from the first processed layer, in full and partial kill states, and
+    include states with no killed gate. A true witness reads ~0 whatever the
+    suffix does elsewhere, so each state is also checked with a random
+    witness, whose readings and state differences are far from 0."""
+    seen = set()
+    for seed in (0, 2, 3, 4, 6, 12):
+        rng = np.random.default_rng(seed)
+        c = random_single_qubit_z_circuit(8 + seed % 5, 0, 4, rng)
+        for mode in ("basic", "improved"):
+            for s in kill_states(c, mode):
+                from_layer = c.depth() - s.k
+                split = min((r.layer - from_layer for r in s.killed), default=None)
+                seen.add((s.k, split))
+                noise = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, rng))
+                for state in (s, noise):
+                    result = verify_kill(c, state, trials=9, seed=seed)
+                    readings, max_diff, ok = two_suffix_verify_kill(c, state, 9, seed)
+                    assert len(result.readings) == len(readings) == 10
+                    for got, want in zip(result.readings, readings):
+                        assert abs(got[0] - want[0]) <= 1e-15
+                        assert abs(got[1] - want[1]) <= 1e-15
+                    assert abs(result.max_state_diff - max_diff) <= 1e-15
+                    assert result.ok == ok
+                assert result.max_p1 > 1e-3 and not result.ok
+    offsets = {(k, split) for k in range(1, 5) for split in [*range(k), None]}
+    assert seen == offsets
+
+
+def test_verify_kill_applies_each_part_once_without_kills(monkeypatch):
+    """With no killed gate, the full and stripped suffixes are one circuit,
+    so each of its compiled parts runs once per block, not once per suffix."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(3))
+    s = kill_run(c, "improved")
+    assert not s.killed
+    wires = tensor_indices(s.rest, s.psi.wires)[0]
+    suffix = compile_layers(c.layers[c.depth() - s.k :], wires).parts
+    trials = block_columns(len(wires)) - 1  # one block
+    seen = []
+    original = sim.apply_gate
+
+    def counting(part, block):
+        seen.append(part)
+        return original(part, block)
+
+    monkeypatch.setattr(sim, "apply_gate", counting)
+    assert verify_kill(c, s, trials=trials).ok
+    assert len(seen) == len(suffix) > 0
+    for got, want in zip(seen, suffix):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_verify_kill_refuses_negative_trials(monkeypatch):
+    c = random_single_qubit_z_circuit(8, 0, 3, np.random.default_rng(5))
+    s = kill_run(c, "improved")
+
+    def no_compile(*args):
+        raise AssertionError("compiled before the trial count was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "compile_layers", no_compile)
+        with pytest.raises(ValueError, match=r"trials must be >= 0, got -1"):
+            verify_kill(c, s, trials=-1)
+    # trials=0 still checks the all-zeros rest state, and only that one.
+    result = verify_kill(c, s, trials=0)
+    assert result.ok and result.trials == 1 and len(result.readings) == 1
+    start = PartialState.zero(s.rest).tensor(s.psi)
+    suffix = dataclasses.replace(c, layers=c.layers[c.depth() - s.k :])
+    p1 = run(suffix, start).restricted_probability(c.target, 1)
+    assert abs(result.readings[0][0] - p1) <= 1e-15
 
 
 def test_strip_killed_removes_only_killed_gates():

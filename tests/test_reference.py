@@ -18,6 +18,7 @@ from qshallow import (
     parity_logdepth_depth,
     read_target,
     reference_dense,
+    rewrite_toffoli_to_z,
     run,
     tradeoff_bound,
     validate,
@@ -227,3 +228,15 @@ def test_tradeoff_bound_validation():
         tradeoff_bound(0, 0, "parity")
     with pytest.raises(ValueError):
         tradeoff_bound(4, -1, "parity")
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 65), 128, 256, 512, 1024, 65, 99, 333, 577, 1000]
+)
+def test_unbounded_bound_counts_rewritten_layers(n):
+    """The unbounded-gate bound counts single-qubit + Z layers: the Cnot-only
+    construction beats it in Cnot layers at n=1024 (19 < 20.0), but not once
+    each Cnot layer is rewritten to H, Z, H (57 layers)."""
+    c = build_parity_logdepth(n)
+    rewritten = rewrite_toffoli_to_z(c)
+    assert tradeoff_bound(c.n, c.a, "parity").unbounded_gate_depth <= rewritten.depth()
