@@ -3,10 +3,12 @@
 
 from qshallow import build_parity_logdepth, parity_logdepth_depth, tradeoff_bound
 
-# Lower bounds (real-valued; compare integer depths against their ceilings):
+# Lower bounds (compare integer depths against their ceilings):
 #   bounded-arity gates:     depth >= log2(n), any number of ancillae
-#   unbounded Toffoli/Z:     depth >= 2*log2(n / (a+1))   for parity
-#                            and 2 less for fanout (Hadamard conjugation).
+#   unbounded Toffoli/Z:     depth >= least d with (a+1)*F(d+1) - a >= n
+#                            for parity (Fibonacci F(1) = F(2) = 1, counted
+#                            in single-qubit + Z layers), and 2 less for
+#                            fanout (Hadamard conjugation).
 print("parity on n bits, unbounded-arity model, varying ancilla budget a:")
 print("    n      a=0     a=3     a=31    a=255")
 for n in (64, 256, 1024, 4096):
@@ -26,11 +28,11 @@ for n in (64, 1024):
 print()
 
 # Upper bound side: the Cnot-only construction. Its depth sits between the
-# bounded-arity floor log2(n) and 2*log2(n). That does not contradict the
-# unbounded-gate bound, which counts layers of the single-qubit + Z form: after
-# rewrite_toffoli_to_z each Cnot layer becomes three (H, Z, H), and the
-# rewritten construction stays above that bound (57 layers at n=1024).
-print("  n    construction depth   log2(n)   2*log2(n)")
+# bounded-arity floor log2(n) and 2*log2(n). The unbounded-gate bound counts
+# layers of the single-qubit + Z form, so it applies to the construction after
+# rewrite_toffoli_to_z, which turns each Cnot layer into three (H, Z, H): 57
+# layers at n=1024.
+print("  n    construction depth   log2(n)   unbounded-gate bound")
 for n in (4, 8, 16, 64, 256, 1024):
     d = parity_logdepth_depth(n)
     p = tradeoff_bound(n, 0, "parity")

@@ -319,16 +319,35 @@ def _tensor_columns(rest: np.ndarray, own: np.ndarray, witness: np.ndarray) -> n
     return block
 
 
-def _cut_suffix(
-    c: Circuit, from_layer: int, split: int
-) -> tuple[tuple[Layer, ...], tuple[Layer, ...]]:
-    """``c.layers[from_layer:]`` cut inside layer ``split``: the layers
-    before it plus its non-Z gates, then its Z-gates plus the layers after
-    it. A ``split`` equal to the depth cuts after the last layer."""
-    at = c.layers[split : split + 1]
-    head = tuple(Layer(g for g in layer.gates if not isinstance(g, ZGate)) for layer in at)
-    tail = tuple(Layer(g for g in layer.gates if isinstance(g, ZGate)) for layer in at)
-    return c.layers[from_layer:split] + head, tail + c.layers[split + 1 :]
+def _cone_split(
+    c: Circuit, from_layer: int, killed: tuple[KillRecord, ...]
+) -> tuple[tuple[Layer, ...], tuple[Layer, ...], tuple[Layer, ...]]:
+    """Sort the gates of ``c.layers[from_layer:]`` by one forward walk from
+    the killed gates. A gate joins the cone if it is killed or touches a wire
+    that cone gates of earlier layers hold; the cone then grows by its
+    support. Returns, one pseudo-layer per layer, the shared gates (every
+    other gate), the cone gates (the full tail) and the cone gates that are
+    not killed (the stripped tail)."""
+    dropped = {(r.layer, r.gate_index) for r in killed}
+    cone: set[int] = set()
+    shared: list[Layer] = []
+    full: list[Layer] = []
+    stripped: list[Layer] = []
+    for i in range(from_layer, c.depth()):
+        outside, inside, kept = [], [], []
+        for j, g in enumerate(c.layers[i].gates):
+            if (i, j) in dropped:
+                inside.append(g)
+            elif g.support() & cone:
+                inside.append(g)
+                kept.append(g)
+            else:
+                outside.append(g)
+        cone.update(*(g.support() for g in inside))
+        shared.append(Layer(outside))
+        full.append(Layer(inside))
+        stripped.append(Layer(kept))
+    return tuple(shared), tuple(full), tuple(stripped)
 
 
 def verify_kill(
@@ -341,23 +360,23 @@ def verify_kill(
     reading of at most ``READING_TOL`` and matching states from both runs.
 
     The rest states are drawn from ``seed`` in trial order and run as
-    columns of one block at a time. The two suffixes agree up to the first
-    layer holding a killed gate, and there they differ only in Z-gates, so
-    each block is simulated once through that shared part: the layers before
-    it and the layer's other gates. A copy then runs through the full tail
-    (the layer's Z-gates and every later layer) and the block itself through
-    the stripped one. Moving a layer's +-1 diagonal after its contractions
-    is exact, as gate supports within a layer are disjoint."""
+    columns of one block at a time. The two suffixes can differ only inside
+    the forward cone of the killed gates (:func:`_cone_split`), so each
+    block runs once through the gates outside it, the shared part; then a
+    copy runs through the cone gates, the full tail, and the block itself
+    through the cone gates that are not killed, the stripped tail. This is
+    exact: the cone only grows, so a gate outside it at its layer is
+    disjoint from every earlier cone gate, commutes ahead of all of them,
+    and sits unchanged in both suffixes. With no killed gate the cone is
+    empty, the block is both outputs and the state difference is 0."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    from_layer = c.depth() - s.k
-    split = min((r.layer for r in s.killed), default=c.depth())
     wires, own, theirs = tensor_indices(s.rest, s.psi.wires)
-    head, full_tail = _cut_suffix(c, from_layer, split)
-    shared = compile_layers(head, wires)
+    shared_layers, full_tail, stripped_tail = _cone_split(c, c.depth() - s.k, s.killed)
+    shared = compile_layers(shared_layers, wires)
     full = compile_layers(full_tail, wires)
-    stripped = compile_layers(_cut_suffix(strip_killed(c, s.killed), from_layer, split)[1], wires)
+    stripped = compile_layers(stripped_tail, wires)
     target = wires.index(c.target)
     witness = s.psi.amps[theirs][:, None]
 
@@ -372,9 +391,13 @@ def verify_kill(
                 rest[0, j] = 1.0  # the all-zeros rest state, or no rest wires
             else:
                 rest[:, j] = random_amps(len(s.rest), rng)
-        start = shared.apply(_tensor_columns(rest, own, witness))
-        out_full = full.apply(start.copy())
-        out_killed = stripped.apply(start)
+        out_killed = shared.apply(_tensor_columns(rest, own, witness))
+        if not s.killed:  # both tails are empty: the block is both outputs
+            p1 = column_probabilities(out_killed, target).tolist()
+            readings.extend(zip(p1, p1))
+            continue
+        out_full = full.apply(out_killed.copy())
+        out_killed = stripped.apply(out_killed)
         p_full = column_probabilities(out_full, target)
         p_killed = column_probabilities(out_killed, target)
         out_killed -= out_full

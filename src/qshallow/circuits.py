@@ -358,15 +358,37 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
+# A "u" gate as ``json.dumps(..., indent=1)`` renders it three levels deep in
+# the document, with a field for the wire and for each of the eight numbers.
+_U_ENTRY = "      [\n       {},\n       {}\n      ]"
+_U_ROW = "     [\n" + _U_ENTRY + ",\n" + _U_ENTRY + "\n     ]"
+_U_GATE = (
+    '   {{\n    "kind": "u",\n    "wire": {},\n    "matrix": [\n'
+    + _U_ROW + ",\n" + _U_ROW + "\n    ]\n   }}"
+)
+
+
+def _gate_text(g: Gate) -> str:
+    """One gate as it appears in the canonical document. A "u" gate with
+    finite entries fills ``_U_GATE`` (``repr`` is how json writes a finite
+    float); any other gate goes through ``json.dumps``."""
+    if isinstance(g, SingleQubit):
+        numbers = [x for e in g.u.ravel().tolist() for x in (e.real, e.imag)]
+        if all(map(math.isfinite, numbers)):
+            return _U_GATE.format(g.wire, *map(repr, numbers))
+    return "   " + json.dumps(_gate_to_obj(g), indent=1).replace("\n", "\n   ")
+
+
 def serialize_circuit(c: Circuit) -> str:
-    """Render the canonical JSON document (fixed field order, one gate per entry)."""
-    obj = {
-        "n": c.n,
-        "ancillae": c.a,
-        "target": c.target,
-        "layers": [[_gate_to_obj(g) for g in layer.gates] for layer in c.layers],
-    }
-    return json.dumps(obj, indent=1)
+    """Render the canonical JSON document (fixed field order, one gate per
+    entry): the text of ``json.dumps(obj, indent=1)`` for the document object,
+    written out gate by gate."""
+    layers = [
+        "  [\n" + ",\n".join(map(_gate_text, layer.gates)) + "\n  ]" if layer.gates else "  []"
+        for layer in c.layers
+    ]
+    body = "[\n" + ",\n".join(layers) + "\n ]" if layers else "[]"
+    return f'{{\n "n": {c.n},\n "ancillae": {c.a},\n "target": {c.target},\n "layers": {body}\n}}'
 
 
 def circuit_sha256(c: Circuit) -> str:

@@ -174,6 +174,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         f" d ≥ {bound.unbounded_gate_depth:.2f}"
     )
     print(
+        "    (d counts single-qubit + Z layers, after rewrite_toffoli_to_z"
+        " turns each Toffoli/Cnot layer into three)"
+    )
+    print(
         f"  bounded-arity model (lower bound from the lightcone argument):"
         f" d ≥ {bound.bounded_gate_depth:.2f}"
     )

@@ -192,7 +192,9 @@ def conjugate_parity_to_fanout(c: Circuit) -> Circuit:
 @dataclass(frozen=True)
 class TradeoffBound:
     """Minimum-depth formulas for computing an operator on n bits with a
-    ancillae, as real numbers (callers take ceilings against integer depths).
+    ancillae. ``unbounded_gate_depth`` is an integer threshold held as a
+    float; ``bounded_gate_depth`` is real (callers take its ceiling against
+    integer depths).
 
     ``unbounded_gate_depth`` counts layers of the single-qubit + Z form that
     the gate-killing argument analyzes: a circuit with Toffoli or Cnot gates
@@ -209,14 +211,22 @@ class TradeoffBound:
 
 
 def tradeoff_bound(n: int, a: int, gate: OpKind) -> TradeoffBound:
-    """Depth lower bounds: parity needs depth >= 2*log2(n/(a+1)) against
-    unbounded-arity Toffoli/Z circuits, counted in single-qubit + Z layers
-    after :func:`rewrite_toffoli_to_z`, and >= log2(n) against bounded-arity
-    circuits; fanout sheds 2 layers from each (its Hadamard conjugation),
-    never going below 0."""
+    """Depth lower bounds. Against unbounded-arity Toffoli/Z circuits, counted
+    in single-qubit + Z layers after :func:`rewrite_toffoli_to_z`, parity
+    needs depth at least the least d with (a+1)*F(d+1) - a >= n (Fibonacci,
+    F(1) = F(2) = 1). Below it the improved-mode construction leaves an input
+    free: each recruit of step k+1 kills a distinct gate that touches a wire
+    of K_k not pinned at step k, so |K_{k+1}| <= |K_k| + |K_{k-1}| from
+    |K_1| = a+1 and |K_2| <= 2(a+1), and K holds at most (a+1)*F(d+1) wires
+    after d steps, a of them ancillae. Against bounded-arity circuits parity
+    needs log2(n). Fanout sheds 2 layers from each (its Hadamard
+    conjugation), never going below 0."""
     if n < 1 or a < 0:
         raise ValueError(f"need n >= 1, a >= 0, got n={n}, a={a}")
-    unbounded = 2.0 * math.log2(n / (a + 1))
+    depth, fib, prev = 0, 1, 0  # fib = F(depth + 1), prev = F(depth)
+    while (a + 1) * fib - a < n:
+        depth, fib, prev = depth + 1, fib + prev, fib
+    unbounded = float(depth)
     bounded = math.log2(n)
     if gate == "fanout":
         unbounded = max(unbounded - 2.0, 0.0)

@@ -154,9 +154,9 @@ def test_criterion_6_certificates_never_inconclusive():
 
 def test_criterion_7_tradeoff_formula():
     with criterion(7, "ancilla-depth tradeoff formula values"):
-        assert tradeoff_bound(1024, 0, "parity").unbounded_gate_depth == 20.0
-        assert tradeoff_bound(1024, 31, "parity").unbounded_gate_depth == 10.0
-        assert tradeoff_bound(1024, 0, "fanout").unbounded_gate_depth == 18.0
+        assert tradeoff_bound(1024, 0, "parity").unbounded_gate_depth == 16.0
+        assert tradeoff_bound(1024, 31, "parity").unbounded_gate_depth == 8.0
+        assert tradeoff_bound(1024, 0, "fanout").unbounded_gate_depth == 14.0
 
 
 def test_criterion_8_no_false_accusation():

@@ -18,6 +18,7 @@ from qshallow import (
     ZGate,
     apply_layer,
     build_parity_logdepth,
+    dense_operator,
     certificate_from_json,
     certificate_to_json,
     committed_bound,
@@ -322,6 +323,141 @@ def test_verify_kill_applies_each_part_once_without_kills(monkeypatch):
         assert type(got) is type(want)
         for field in dataclasses.fields(want):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def forward_cone(c, s):
+    """(layer, gate index) of every gate in the killed gates' forward cone:
+    a gate is in it if it is killed or touches a wire that cone gates of
+    earlier layers hold."""
+    killed = {(r.layer, r.gate_index) for r in s.killed}
+    wires, gates = set(), set()
+    for i in range(c.depth() - s.k, c.depth()):
+        grown = set()
+        for j, g in enumerate(c.layers[i].gates):
+            if (i, j) in killed or g.support() & wires:
+                gates.add((i, j))
+                grown |= g.support()
+        wires |= grown
+    return gates
+
+
+def test_verify_kill_applies_each_part_once_with_kills(monkeypatch):
+    """Per block, every part of the shared part (the suffix outside the killed
+    gates' forward cone) runs once, and each tail's parts run once: only the
+    cone is simulated per suffix."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    s = kill_run(c, "basic")
+    from_layer = c.depth() - s.k
+    cone = forward_cone(c, s)
+    assert s.killed and 0 < len(cone) < sum(len(layer.gates) for layer in c.layers)
+    wires = tensor_indices(s.rest, s.psi.wires)[0]
+    outside = [
+        Layer(g for j, g in enumerate(c.layers[i].gates) if (i, j) not in cone)
+        for i in range(from_layer, c.depth())
+    ]
+    want_shared = compile_layers(outside, wires).parts
+    compiled, seen = [], []
+    original_compile, original_apply = adversary.compile_layers, sim.apply_gate
+
+    def recording_compile(layers, order):
+        compiled.append(original_compile(layers, order))
+        return compiled[-1]
+
+    def counting(part, block):
+        seen.append(id(part))
+        return original_apply(part, block)
+
+    monkeypatch.setattr(adversary, "compile_layers", recording_compile)
+    monkeypatch.setattr(sim, "apply_gate", counting)
+    blocks = 3
+    assert verify_kill(c, s, trials=blocks * block_columns(len(wires)) - 1).ok
+    shared, full, stripped = (compiled_layers.parts for compiled_layers in compiled)
+    assert len(shared) == len(want_shared) > 0 and full
+    for got, want in zip(shared, want_shared):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    assert len(seen) == blocks * (len(shared) + len(full) + len(stripped))
+    for part in shared + full + stripped:
+        assert seen.count(id(part)) == blocks
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cone_split_keeps_both_suffix_operators(seed):
+    """Shared part then full tail is the processed suffix, and shared part
+    then stripped tail is the stripped suffix, as dense operators; every
+    suffix gate lands in exactly one of the shared part and the full tail,
+    the full tail holding the killed gates' forward cone."""
+    rng = np.random.default_rng(seed)
+    a = seed % 3
+    n = int(rng.integers(4, 9 - a))
+    heavy = {"p_single": 0.3, "p_join_z": 0.9} if seed % 2 else {}
+    c = random_single_qubit_z_circuit(n, a, 4, rng, **heavy)
+    for mode in ("basic", "improved"):
+        for s in kill_states(c, mode):
+            from_layer = c.depth() - s.k
+            shared, full, stripped = adversary._cone_split(c, from_layer, s.killed)
+            assert len(shared) == len(full) == len(stripped) == s.k
+            cone = forward_cone(c, s)
+            for i, (out, inside, kept) in enumerate(zip(shared, full, stripped)):
+                gates = c.layers[from_layer + i].gates
+                want_inside = [g for j, g in enumerate(gates) if (from_layer + i, j) in cone]
+                assert list(inside.gates) == want_inside
+                assert list(out.gates) == [g for g in gates if g not in want_inside]
+                assert list(kept.gates) == [
+                    g for g in strip_killed(c, s.killed).layers[from_layer + i].gates
+                    if g in want_inside
+                ]
+
+            def operator(layers):
+                return dense_operator(dataclasses.replace(c, layers=tuple(layers)))
+
+            suffix = c.layers[from_layer:]
+            stripped_suffix = strip_killed(c, s.killed).layers[from_layer:]
+            assert np.abs(operator(shared + full) - operator(suffix)).max() <= 1e-12
+            assert np.abs(operator(shared + stripped) - operator(stripped_suffix)).max() <= 1e-12
+
+
+def fibonacci(m):
+    prev, cur = 0, 1
+    for _ in range(m - 1):
+        prev, cur = cur, prev + cur
+    return cur
+
+
+EIGHT_WIRE = Circuit(
+    n=8,
+    a=0,
+    target=7,
+    layers=(
+        Layer([ZGate((3, 7)), ZGate((0, 4)), ZGate((1, 5))]),
+        Layer([ZGate((1, 7)), ZGate((0, 2))]),
+        Layer([ZGate((0, 7))]),
+        Layer([SingleQubit(7, HADAMARD)]),
+    ),
+)
+
+
+def test_improved_growth_meets_the_fibonacci_bound(monkeypatch):
+    """With the asserted cap switched off, improved mode's committed set
+    never exceeds (a+1)*F(k+1), the growth that tradeoff_bound's
+    unbounded-gate depth rests on: seeded Z-heavy draws at n=64 (depth 7-8)
+    and n=1000 (depth 6), and the 8-wire circuit, which meets it at every
+    step and exceeds today's asserted cap (a+1)*2^ceil(k/2) at step 4."""
+    monkeypatch.setattr(adversary, "_assert_bound", lambda *args: None)
+    sizes = [len(s.committed) for s in kill_states(EIGHT_WIRE, "improved")]
+    assert sizes == [fibonacci(k + 1) for k in range(1, 5)] == [1, 2, 3, 5]
+    assert sizes[-1] > committed_bound("improved", 0, 4)
+    over_cap = 0
+    for n, depths in ((64, (7, 8)), (1000, (6,))):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            depth = depths[seed % len(depths)]
+            c = random_single_qubit_z_circuit(n, 0, depth, rng, p_single=0.3, p_join_z=0.9)
+            for s in kill_states(c, "improved"):
+                assert len(s.committed) <= fibonacci(s.k + 1), (n, seed, s.k)
+                over_cap += len(s.committed) > committed_bound("improved", 0, s.k)
+    assert over_cap > 0
 
 
 def test_verify_kill_refuses_negative_trials(monkeypatch):

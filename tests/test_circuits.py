@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,86 @@ def test_roundtrip_preserves_exact_matrix_entries():
     c = Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, u)]),))
     again = parse_circuit(serialize_circuit(c))
     assert np.array_equal(again.layers[0].gates[0].u, u)
+
+
+def json_dumps_document(c):
+    """The canonical document as ``json.dumps(obj, indent=1)`` writes it."""
+
+    def gate(g):
+        if isinstance(g, SingleQubit):
+            matrix = [[[float(e.real), float(e.imag)] for e in row] for row in g.u]
+            return {"kind": "u", "wire": g.wire, "matrix": matrix}
+        if isinstance(g, ZGate):
+            return {"kind": "z", "wires": list(g.wires)}
+        if isinstance(g, Cnot):
+            return {"kind": "cnot", "control": g.control, "target": g.target}
+        return {"kind": "toffoli", "controls": list(g.controls), "target": g.target}
+
+    obj = {
+        "n": c.n,
+        "ancillae": c.a,
+        "target": c.target,
+        "layers": [[gate(g) for g in layer.gates] for layer in c.layers],
+    }
+    return json.dumps(obj, indent=1)
+
+
+# Matrix entries whose text is easy to get wrong: signed zeros, exponents,
+# 17-digit values, and the non-finite values json spells its own way.
+AWKWARD_NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -5e-324, 1e16, 2.5e-8, 1 / 3]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def random_document_circuit(rng, numbers):
+    n = int(rng.integers(1, 7))
+    a = int(rng.integers(0, 3))
+    layers = []
+    for _ in range(int(rng.integers(0, 5))):
+        wires = [int(w) for w in rng.permutation(n + a)]
+        gates = []
+        while wires and rng.random() < 0.8:
+            kind = rng.integers(0, 5)
+            if kind == 0:
+                u = np.empty((2, 2), dtype=complex)
+                u.real, u.imag = rng.choice(numbers, size=(2, 2, 2))
+                gates.append(SingleQubit(wires.pop(), u))
+            elif kind == 1:
+                gates.append(SingleQubit(wires.pop(), rng.standard_normal((2, 2)) + 0j))
+            elif kind == 2:
+                size = int(rng.integers(1, len(wires) + 1))
+                gates.append(ZGate(tuple(wires.pop() for _ in range(size))))
+            elif kind == 3 or len(wires) < 2:
+                size = int(rng.integers(0, len(wires)))
+                controls = tuple(wires.pop() for _ in range(size))
+                gates.append(Toffoli(controls, wires.pop()))
+            else:
+                gates.append(Cnot(wires.pop(), wires.pop()))
+        layers.append(Layer(gates))
+    return Circuit(n=n, a=a, target=int(rng.integers(0, n + a)), layers=tuple(layers))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_serialize_matches_json_dumps(seed):
+    """The gate-by-gate writer gives json.dumps's bytes on every gate kind,
+    empty layers, depth 0, ancillae and signed zeros; every fifth draw also
+    puts non-finite entries into its "u" gates."""
+    rng = np.random.default_rng(seed)
+    numbers = AWKWARD_NUMBERS + (NON_FINITE if seed % 5 == 0 else [])
+    for _ in range(25):
+        c = random_document_circuit(rng, numbers)
+        assert serialize_circuit(c) == json_dumps_document(c)
+
+
+def test_serialize_matches_json_dumps_on_edge_circuits():
+    cases = [
+        Circuit(n=1, a=0, target=0),
+        Circuit(n=2, a=3, target=4, layers=(Layer(), Layer())),
+        Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, -0.0 * HADAMARD)]),)),
+        build_parity_logdepth(9),
+        rewrite_toffoli_to_z(build_parity_logdepth(5)),
+    ]
+    for c in cases:
+        assert serialize_circuit(c) == json_dumps_document(c)
 
 
 def test_rewrite_single_toffoli_matches_on_all_basis_states():

@@ -87,9 +87,9 @@ def test_verify_wrong_op_negative(tmp_path, capsys):
 
 def test_bound_output(capsys):
     assert main(["bound", "--n", "1024", "--a", "31", "--gate", "parity"]) == 0
-    assert "d ≥ 10.00" in capsys.readouterr().out
+    assert "d ≥ 8.00" in capsys.readouterr().out
     assert main(["bound", "--n", "1024", "--gate", "fanout"]) == 0
-    assert "d ≥ 18.00" in capsys.readouterr().out
+    assert "d ≥ 14.00" in capsys.readouterr().out
 
 
 def test_adversary_negative_writes_certificate(random12, tmp_path, capsys):

@@ -167,14 +167,31 @@ def test_conjugate_of_dense_parity_is_fanout():
 
 
 def test_tradeoff_bound_values():
-    assert tradeoff_bound(1024, 0, "parity").unbounded_gate_depth == 20.0
-    assert tradeoff_bound(1024, 31, "parity").unbounded_gate_depth == 10.0
-    assert tradeoff_bound(1024, 0, "fanout").unbounded_gate_depth == 18.0
+    assert tradeoff_bound(1024, 0, "parity").unbounded_gate_depth == 16.0
+    assert tradeoff_bound(1024, 31, "parity").unbounded_gate_depth == 8.0
+    assert tradeoff_bound(1024, 0, "fanout").unbounded_gate_depth == 14.0
     b = tradeoff_bound(1024, 0, "parity")
     assert b.bounded_gate_depth == 10.0
     assert tradeoff_bound(1024, 0, "fanout").bounded_gate_depth == 8.0
     # fanout's unbounded bound floors at zero
     assert tradeoff_bound(2, 1, "fanout").unbounded_gate_depth == 0.0
+
+
+def test_unbounded_bound_is_the_least_depth_the_fibonacci_growth_allows():
+    """The least d with (a+1)*F(d+1) - a >= n, F(1) = F(2) = 1: at depth d-1
+    the committed set of at most (a+1)*F(d) wires, a of them ancillae,
+    leaves an input free."""
+    fib = [0, 1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    for a in (0, 1, 2, 7, 31):
+        for n in [*range(1, 300), 1024, 4096, 10**6]:
+            d = tradeoff_bound(n, a, "parity").unbounded_gate_depth
+            assert d == int(d) >= 0
+            d = int(d)
+            assert (a + 1) * fib[d + 1] - a >= n
+            assert d == 0 or (a + 1) * fib[d] - a < n
+            assert tradeoff_bound(n, a, "fanout").unbounded_gate_depth == max(d - 2, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
