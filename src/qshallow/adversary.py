@@ -9,6 +9,12 @@ in improved mode a wire pinned on the previous step), which makes the gate
 act as the identity, so it can be dropped without changing the suffix's
 action on these states.
 
+Each layer is one pass over its gates: a gate off K is skipped, a Z-gate
+straddling K is killed, a gate inside K is pulled back through the witness,
+and any other gate touching K is an :class:`InvariantError`. Each step
+appends one :class:`KillHistoryEntry` (k, K, the wires it pinned, its kills)
+to :class:`KillState`'s history, which is the only place those facts live.
+
 If, after all layers, some input wire is still outside K, flipping it cannot
 move the target reading away from 0, while the parity operator's reading
 always flips, so the circuit provably does not compute parity. The
@@ -22,6 +28,7 @@ layer (k = depth).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -33,7 +40,6 @@ from .circuits import (
     Circuit,
     Layer,
     MeasurementSpec,
-    SingleQubit,
     ZGate,
     backward_cone,
     circuit_sha256,
@@ -87,16 +93,30 @@ class KillHistoryEntry:
 
 @dataclass(frozen=True)
 class KillState:
-    """Progress of the construction after processing k layers from the output."""
+    """Progress of the construction after processing k layers from the output.
+    ``history`` (one entry per layer) is the only record of k, the committed
+    set K, last step's pinned wires and the kills; the properties read it."""
 
     mode: Mode
-    k: int
-    committed: tuple[int, ...]
     rest: tuple[int, ...]
     psi: PartialState
-    fresh_zero: frozenset[int]
-    killed: tuple[KillRecord, ...]
     history: tuple[KillHistoryEntry, ...]
+
+    @property
+    def k(self) -> int:
+        return self.history[-1].k
+
+    @property
+    def committed(self) -> tuple[int, ...]:
+        return self.history[-1].committed
+
+    @property
+    def fresh_zero(self) -> frozenset[int]:
+        return frozenset(self.history[-1].fresh)
+
+    @property
+    def killed(self) -> tuple[KillRecord, ...]:
+        return tuple(r for e in self.history for r in e.killed)
 
 
 def committed_bound(mode: Mode, a: int, k: int) -> int:
@@ -121,6 +141,26 @@ def _assert_bound(mode: Mode, c: Circuit, k: int, committed: set[int]) -> None:
         )
 
 
+def _record_step(
+    c: Circuit,
+    mode: Mode,
+    history: tuple[KillHistoryEntry, ...],
+    committed: set[int],
+    fresh: set[int],
+    killed: list[KillRecord],
+    psi: PartialState,
+) -> KillState:
+    """Check the cap on K after the step that ``history`` lacks, and return
+    the state with that step's entry appended."""
+    k = len(history) + 1
+    _assert_bound(mode, c, k, committed)
+    entry = KillHistoryEntry(
+        k=k, committed=tuple(sorted(committed)), fresh=tuple(sorted(fresh)), killed=tuple(killed)
+    )
+    rest = tuple(w for w in range(c.wires) if w not in committed)
+    return KillState(mode=mode, rest=rest, psi=psi, history=history + (entry,))
+
+
 def kill_base(c: Circuit, mode: Mode) -> KillState:
     """Process the output layer: commit the target and every ancilla, choose
     each wire's one-qubit witness factor, and kill Z-gates feeding them."""
@@ -132,156 +172,61 @@ def kill_base(c: Circuit, mode: Mode) -> KillState:
     if c.depth() < 1:
         raise ValueError("construction needs depth >= 1")
     layer_index = c.depth() - 1
-    output_layer = c.layers[layer_index]
     committed = {c.target} | set(range(c.n, c.wires))
-    feeding: dict[int, tuple[int, object]] = {}
-    for j, g in enumerate(output_layer.gates):
-        for w in g.support():
-            feeding[w] = (j, g)
-
-    factors: dict[int, np.ndarray] = {}
+    zero = np.array([1.0, 0.0], dtype=complex)
+    factors = dict.fromkeys(committed, zero)
     fresh: set[int] = set()
     killed: list[KillRecord] = []
-    killed_gate_indices: set[int] = set()
-    zero = np.array([1.0, 0.0], dtype=complex)
-    for w in sorted(committed):
-        fed = feeding.get(w)
-        if fed is None:
-            factors[w] = zero
-        elif isinstance(fed[1], SingleQubit):
-            factors[w] = fed[1].u.conj().T @ zero
-        else:  # Z-gate: pin the wire and kill the gate
-            factors[w] = zero
-            fresh.add(w)
-            j = fed[0]
-            if j not in killed_gate_indices:
-                killed_gate_indices.add(j)
-                gate = fed[1]
-                assert isinstance(gate, ZGate)
-                killed.append(
-                    KillRecord(
-                        layer=layer_index,
-                        gate_index=j,
-                        wires=gate.wires,
-                        pinned_wire=w,
-                        via="base-zero",
-                    )
-                )
-
-    psi: PartialState | None = None
-    for w in sorted(committed):
-        single = PartialState((w,), factors[w])
-        psi = single if psi is None else psi.tensor(single)
-    assert psi is not None
-    _assert_bound(mode, c, 1, committed)
-    entry = KillHistoryEntry(
-        k=1,
-        committed=tuple(sorted(committed)),
-        fresh=tuple(sorted(fresh)),
-        killed=tuple(killed),
+    for j, g in enumerate(c.layers[layer_index].gates):
+        touched = g.support() & committed
+        if not touched:
+            continue
+        if isinstance(g, ZGate):  # pin the touched wires and kill the gate
+            fresh |= touched
+            killed.append(KillRecord(layer_index, j, g.wires, min(touched), "base-zero"))
+        else:
+            factors[g.wire] = g.u.conj().T @ zero
+    killed.sort(key=lambda r: r.pinned_wire)
+    psi = functools.reduce(
+        PartialState.tensor, (PartialState((w,), factors[w]) for w in sorted(committed))
     )
-    return KillState(
-        mode=mode,
-        k=1,
-        committed=tuple(sorted(committed)),
-        rest=tuple(w for w in range(c.wires) if w not in committed),
-        psi=psi,
-        fresh_zero=frozenset(fresh),
-        killed=tuple(killed),
-        history=(entry,),
-    )
+    return _record_step(c, mode, (), committed, fresh, killed, psi)
 
 
 def kill_step(s: KillState, c: Circuit) -> KillState:
-    """Advance one layer toward the input: kill straddling Z-gates (for free
-    via last step's pinned wires in improved mode, else by recruiting one of
-    their uncommitted wires into K pinned to |0>), then pull the witness back
-    through the layer's surviving committed-side gates."""
+    """Advance one layer toward the input in one pass over its gates. A
+    Z-gate that straddles K is killed: for free via a wire pinned on the last
+    step in improved mode, else by recruiting one of its uncommitted wires
+    into K pinned to |0> (an ancilla first, else the lowest). A gate inside K
+    is pulled back through the witness; a gate off K is skipped."""
     if s.k >= c.depth():
         raise ValueError(f"all {c.depth()} layers already processed")
     layer_index = c.depth() - 1 - s.k
-    layer = c.layers[layer_index]
     committed = set(s.committed)
-    rest = set(s.rest)
-
-    new_killed: list[KillRecord] = []
-    killed_gate_indices: set[int] = set()
-    recruited: set[int] = set()
-
-    straddlers: list[tuple[int, ZGate]] = []
-    for j, g in enumerate(layer.gates):
-        if isinstance(g, ZGate):
-            support = g.support()
-            if (support & committed) and (support & rest):
-                straddlers.append((j, g))
-
-    if s.mode == "improved":
-        for j, g in straddlers:
-            pinned = g.support() & s.fresh_zero
-            if pinned:
-                killed_gate_indices.add(j)
-                new_killed.append(
-                    KillRecord(
-                        layer=layer_index,
-                        gate_index=j,
-                        wires=g.wires,
-                        pinned_wire=min(pinned),
-                        via="fresh-zero",
-                    )
-                )
-
-    for j, g in straddlers:
-        if j in killed_gate_indices:
-            continue
-        candidates = sorted(g.support() & rest)
-        ancilla_candidates = [w for w in candidates if w >= c.n]
-        recruit = ancilla_candidates[0] if ancilla_candidates else candidates[0]
-        rest.remove(recruit)
-        committed.add(recruit)
-        recruited.add(recruit)
-        killed_gate_indices.add(j)
-        new_killed.append(
-            KillRecord(
-                layer=layer_index,
-                gate_index=j,
-                wires=g.wires,
-                pinned_wire=recruit,
-                via="recruited",
-            )
-        )
-
+    pinned = s.fresh_zero if s.mode == "improved" else frozenset()
+    killed: list[KillRecord] = []
     pulled = []
-    for j, g in enumerate(layer.gates):
-        if j in killed_gate_indices:
-            continue
+    for j, g in enumerate(c.layers[layer_index].gates):
         support = g.support()
-        if support & committed:
-            if not support <= committed - recruited:
-                raise InvariantError(
-                    f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
-                    f" {sorted(support)} vs committed {sorted(committed)}"
-                )
+        if not support & committed:
+            continue
+        if support <= committed:
             pulled.append(adjoint_gate(g))
+        elif isinstance(g, ZGate) and support & pinned:
+            killed.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
+        elif isinstance(g, ZGate):
+            outside = sorted(support - committed)
+            recruit = next((w for w in outside if w >= c.n), outside[0])
+            killed.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
+        else:
+            raise InvariantError(
+                f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
+                f" {sorted(support)} vs committed {sorted(committed)}"
+            )
+    killed.sort(key=lambda r: r.via == "recruited")  # stable: fresh-zero kills come first
+    recruited = {r.pinned_wire for r in killed if r.via == "recruited"}
     psi = apply_layer(Layer(pulled), s.psi).extend_zeros(recruited)
-
-    k = s.k + 1
-    _assert_bound(s.mode, c, k, committed)
-    entry = KillHistoryEntry(
-        k=k,
-        committed=tuple(sorted(committed)),
-        fresh=tuple(sorted(recruited)),
-        killed=tuple(new_killed),
-    )
-    return KillState(
-        mode=s.mode,
-        k=k,
-        committed=tuple(sorted(committed)),
-        rest=tuple(sorted(rest)),
-        psi=psi,
-        fresh_zero=frozenset(recruited),
-        killed=s.killed + tuple(new_killed),
-        history=s.history + (entry,),
-    )
+    return _record_step(c, s.mode, s.history, committed | recruited, recruited, killed, psi)
 
 
 def kill_run(c: Circuit, mode: Mode) -> KillState:

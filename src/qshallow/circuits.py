@@ -211,6 +211,10 @@ def _validate_gate(g: Gate, wires: int, where: str, violations: list[str]) -> No
                 f"{where}: wire index {w} out of range (circuit has {wires} wires)"
             )
     if isinstance(g, SingleQubit):
+        if not np.isfinite(g.u).all():
+            i, j = np.argwhere(~np.isfinite(g.u))[0]
+            violations.append(f"{where}: non-finite matrix entry [{i}][{j}] = {g.u[i, j]}")
+            return
         dev = float(np.abs(g.u.conj().T @ g.u - IDENTITY_2).max())
         if dev > UNITARITY_TOL:
             violations.append(f"{where}: non-unitary matrix (max |U^dag U - I| = {dev:.3e})")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import READING_TOL, analyzed_circuit, flip_pair
+from .adversary import analyzed_circuit, flip_pair
 from .circuits import Circuit, MeasurementSpec, backward_cone
 from .reference import OpKind
 from .sim import PartialState, TargetReading
@@ -81,15 +81,8 @@ def lightcone_counterexample(
     if not report.free_inputs:
         return None
     flip = report.free_inputs[0]
-    (baseline, flipped), parity = flip_pair(c, m, PartialState.zero(()), flip)
-    if abs(baseline.p1 - flipped.p1) > READING_TOL:
-        raise AssertionError(
-            f"free input {flip} moved the reading by {abs(baseline.p1 - flipped.p1)}"
-            " despite being outside the lightcone"
-        )
-    return LightconePair(
-        x=(0,) * c.n, flip_wire=flip, readings=(baseline, flipped), parity_readings=parity
-    )
+    readings, parity = flip_pair(c, m, PartialState.zero(()), flip)
+    return LightconePair(x=(0,) * c.n, flip_wire=flip, readings=readings, parity_readings=parity)
 
 
 def check_depth_bound(c: Circuit, against: OpKind = "parity") -> DepthBoundVerdict:

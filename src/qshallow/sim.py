@@ -135,7 +135,7 @@ class PartialState:
                 f"amplitude vector has length {amps.shape}, expected {2 ** len(wires)}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "amps", amps)
@@ -381,7 +381,7 @@ class CompiledLayers:
         for part in self.parts:
             apply_gate(part, b)
         norms = np.sqrt(_column_mass(b.amps))
-        bad = np.nonzero(np.abs(norms - 1.0) > NORM_TOL)[0]
+        bad = np.nonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0]
         if bad.size:
             raise ValueError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
         return b.amps

@@ -93,8 +93,8 @@ def _verify_clean_dense(
             phase = np.where(nonzero, ref / np.where(nonzero, mag, 1.0), 1.0)
         out[rows, cols] -= phase
         dev = np.abs(out).max(axis=0)
-        max_dev = max(max_dev, float(dev.max()))
-        bad = np.nonzero(dev > AMPLITUDE_TOL)[0]
+        max_dev = float(np.maximum(max_dev, dev.max()))
+        bad = np.nonzero(~(dev <= AMPLITUDE_TOL))[0]
         if bad.size and first_failure is None:
             j = int(bad[0])
             first_failure = (

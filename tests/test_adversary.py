@@ -10,6 +10,7 @@ from qshallow import (
     Circuit,
     Cnot,
     InvariantError,
+    KillRecord,
     Layer,
     MeasurementSpec,
     PartialState,
@@ -165,6 +166,44 @@ def test_recruitment_prefers_ancillae_then_least_index():
     s2 = kill_run(c2, "improved")
     # only input wire 1 is on offer
     assert s2.killed[-1].pinned_wire == 1
+
+
+def test_step_records_fresh_zero_kills_before_recruits():
+    # K = {3, 4} after the base step, which pins the target 3. In the next
+    # layer gate 0, Z(0,4), has no pinned wire and recruits wire 0, while
+    # gate 1, Z(1,3), is killed for free via wire 3: the records still list
+    # the fresh-zero kill first.
+    c = Circuit(
+        n=4,
+        a=1,
+        target=3,
+        layers=(Layer([ZGate((0, 4)), ZGate((1, 3))]), Layer([ZGate((2, 3))])),
+    )
+    s = kill_step(kill_base(c, "improved"), c)
+    assert s.history[-1].killed == (
+        KillRecord(layer=0, gate_index=1, wires=(1, 3), pinned_wire=3, via="fresh-zero"),
+        KillRecord(layer=0, gate_index=0, wires=(0, 4), pinned_wire=0, via="recruited"),
+    )
+    assert s.committed == (0, 3, 4)
+    assert s.fresh_zero == {0}
+    assert verify_kill(c, s).ok
+
+
+def test_step_refuses_a_non_z_gate_straddling_k():
+    # kill_base refuses a Cnot anywhere in the circuit, so hand kill_step a
+    # circuit whose deeper layer holds one, across K = {1} and wire 0.
+    base = kill_base(
+        Circuit(n=2, a=0, target=1, layers=(Layer([]), Layer([SingleQubit(1, HADAMARD)]))),
+        "improved",
+    )
+    c = Circuit(
+        n=2, a=0, target=1, layers=(Layer([Cnot(0, 1)]), Layer([SingleQubit(1, HADAMARD)]))
+    )
+    with pytest.raises(
+        InvariantError,
+        match=r"^layer 0, gate 0: unexpected committed-side overlap \[0, 1\] vs committed \[1\]$",
+    ):
+        kill_step(base, c)
 
 
 def test_size_bounds_hold_on_campaign():

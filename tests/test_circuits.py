@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,13 @@ def test_rewrite_property_random_circuits(seed):
     assert is_single_qubit_z_circuit(rewritten)
     assert rewritten.depth() <= 3 * c.depth()
     assert np.abs(dense_operator(c) - dense_operator(rewritten)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+def test_validate_non_finite_entry_without_warnings(entry):
+    u = np.array([[1, 0], [0, entry]], dtype=complex)
+    bad = Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, u)]),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no invalid-value warning from U^dag U
+        violations = validate(bad)
+    assert violations == [f"layer 0, gate 0: non-finite matrix entry [1][1] = {u[1, 1]}"]

@@ -303,3 +303,17 @@ def test_lightcone_verdict_at_n_1024(tmp_path, capsys):
     path.write_text(serialize_circuit(c))
     assert main(["lightcone", "--circuit", str(path)]) == 1
     assert "verdict: not-parity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token, shown", [("NaN", "nan"), ("Infinity", "inf")])
+def test_verify_refuses_a_non_finite_matrix_entry(tmp_path, capsys, token, shown):
+    # The gate never touches the target, so a NaN that slipped through the
+    # unitarity check used to read "clean computation confirmed".
+    path = tmp_path / "c.json"
+    path.write_text(
+        '{"n": 2, "ancillae": 0, "target": 1, "layers": [[{"kind": "u", "wire": 0,'
+        f' "matrix": [[[{token}, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]}}'
+    )
+    assert main(["verify", "--circuit", str(path), "--against", "parity"]) == 2
+    err = capsys.readouterr().err
+    assert f"layer 0, gate 0: non-finite matrix entry [0][0] = ({shown}+0j)" in err

@@ -39,8 +39,8 @@ from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_
 DATA = pathlib.Path(__file__).parent / "data" / "golden.json"
 
 
-def _z_circuit(n: int, a: int, seed: int) -> Circuit:
-    return random_single_qubit_z_circuit(n, a, 4, np.random.default_rng(seed))
+def _z_circuit(n: int, a: int, seed: int, depth: int = 4, **draw) -> Circuit:
+    return random_single_qubit_z_circuit(n, a, depth, np.random.default_rng(seed), **draw)
 
 
 def _certificate_circuits() -> dict[str, Circuit]:
@@ -50,6 +50,17 @@ def _certificate_circuits() -> dict[str, Circuit]:
         for a in (0, 1, 2)
         for seed in (0, 1)
     }
+    # Z-heavy draws and wider ancilla registers: most output-layer wires are
+    # fed by Z-gates, so the witness's last digits and zero signs depend on
+    # exactly how each factor and the pulled-back layers are computed.
+    for n in (8, 12):
+        for depth in (4, 6):
+            for a in (3, 5):
+                circuits[f"z n={n} a={a} depth={depth} seed=0"] = _z_circuit(n, a, 0, depth)
+            for a in (0, 1, 3, 5):
+                circuits[f"z-heavy n={n} a={a} depth={depth} seed=0"] = _z_circuit(
+                    n, a, 0, depth, p_single=0.3, p_join_z=0.9
+                )
     circuits["z n=8 a=1 seed=2 target=0"] = dataclasses.replace(_z_circuit(8, 1, 2), target=0)
     circuits["z n=8 a=2 seed=3 target=ancilla 8"] = dataclasses.replace(
         _z_circuit(8, 2, 3), target=8

@@ -239,3 +239,11 @@ def test_bit_table_refuses_a_wide_table_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the table would be 8 TiB
+
+
+def test_norm_checks_fail_on_nan():
+    with pytest.raises(ValueError, match="state norm nan"):
+        PartialState((0,), np.array([np.nan, 0]))
+    c = Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, [[np.nan, 0], [0, 1]])]),))
+    with pytest.raises(ValueError, match="state norm nan"):
+        run(c, PartialState.zero((0,)))

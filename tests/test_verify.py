@@ -19,6 +19,7 @@ from qshallow import (
 )
 from qshallow.randcirc import random_bounded_arity_circuit
 from qshallow.sim import run_basis
+import qshallow.verify as verify
 from qshallow.verify import _permutation_images
 
 
@@ -178,3 +179,29 @@ def test_adversary_verdicts_agree_with_oracle():
         cert = parity_certificate(c, "improved")
         if cert.verdict == "not-parity":
             assert not verify_clean(c, ReferenceOp("parity", 8)).ok
+
+
+NAN_GATE = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+
+
+def test_nan_circuit_fails_instead_of_confirming():
+    # Built by hand, so no validation: the kernel's norm check must catch it.
+    c = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(0, NAN_GATE)]),))
+    with pytest.raises(ValueError, match="state norm nan"):
+        verify_clean(c, ReferenceOp("parity", 1))
+
+
+def test_dense_check_fails_on_a_nan_output(monkeypatch):
+    # Even an output that got past the kernel's norm check fails the
+    # deviation test, and the deviation reads nan rather than 0.
+    def nan_blocks(c, inputs):
+        for first, out in run_basis(c, inputs):
+            out[0, 0] = np.nan
+            yield first, out
+
+    monkeypatch.setattr(verify, "run_basis", nan_blocks)
+    c = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(0, HADAMARD)]),))
+    result = verify._verify_clean_dense(c, ReferenceOp("parity", 1), False, np.arange(4))
+    assert not result.ok
+    assert np.isnan(result.max_deviation)
+    assert "input 00" in result.first_failure
