@@ -55,7 +55,6 @@ from .sim import (
     block_columns,
     column_probabilities,
     compile_layers,
-    random_amps,
     read_target,
     run,
     tensor_indices,
@@ -330,12 +329,18 @@ def verify_kill(
     readings: list[tuple[float, float]] = []
     max_diff = 0.0
     for first in range(0, count, step):
-        rest = np.zeros((2 ** len(s.rest), min(step, count - first)), dtype=complex)
-        for j in range(rest.shape[1]):
-            if first + j == 0 or not s.rest:
-                rest[0, j] = 1.0  # the all-zeros rest state, or no rest wires
-            else:
-                rest[:, j] = random_amps(len(s.rest), rng)
+        columns = min(step, count - first)
+        rest = np.zeros((2 ** len(s.rest), columns), dtype=complex)
+        # Column 0 of the first block is the all-zeros rest state; with no
+        # rest wires, every column is the scalar 1. The others are drawn in
+        # one call, row by row as random_amps draws them, and made complex one
+        # row at a time, so no block-sized temporary is built.
+        drawn = columns - (first == 0) if s.rest else 0
+        raw = rng.standard_normal((drawn, 2, len(rest)))
+        for j, (re, im) in enumerate(raw, start=columns - drawn):
+            amps = re + 1j * im
+            rest[:, j] = amps / np.linalg.norm(amps)
+        rest[0, : columns - drawn] = 1.0
         out_killed = shared.apply(_tensor_columns(rest, own, witness))
         if not s.killed:  # both tails are empty: the block is both outputs
             p1 = column_probabilities(out_killed, target).tolist()
@@ -551,16 +556,19 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     analyzed = analyzed_circuit(c, cert.against)
     if cert.free_input not in range(analyzed.n) or cert.free_input in psi.wires:
         return False
+    if not all(map(math.isfinite, cert.readings + cert.reference_readings)):
+        return False
     pair, reference = flip_pair(analyzed, MeasurementSpec(analyzed.target), psi, cert.free_input)
+    # Each check is written so that a NaN anywhere fails it.
     for i in range(2):
         p1 = pair[i].p1
-        if p1 > READING_TOL or abs(p1 - cert.readings[i]) > READING_TOL:
+        if not (p1 <= READING_TOL and abs(p1 - cert.readings[i]) <= READING_TOL):
             return False
-        if abs(reference[i] - cert.reference_readings[i]) > READING_TOL:
+        if not abs(reference[i] - cert.reference_readings[i]) <= READING_TOL:
             return False
     # The parity operator's two readings complement each other; the larger one
     # certifies disagreement with the circuit's ~0 reading on that input.
     ref0, ref1 = cert.reference_readings
-    if abs(ref0 + ref1 - 1.0) > READING_TOL:
+    if not abs(ref0 + ref1 - 1.0) <= READING_TOL:
         return False
     return max(ref0, ref1) >= 0.5 - READING_TOL

@@ -362,24 +362,39 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
-# A "u" gate as ``json.dumps(..., indent=1)`` renders it three levels deep in
-# the document, with a field for the wire and for each of the eight numbers.
+# Gates as ``json.dumps(..., indent=1)`` renders them three levels deep in
+# the document: a "u" gate with a field for the wire and for each of the eight
+# numbers, and the other kinds with a field per wire or wire list.
 _U_ENTRY = "      [\n       {},\n       {}\n      ]"
 _U_ROW = "     [\n" + _U_ENTRY + ",\n" + _U_ENTRY + "\n     ]"
 _U_GATE = (
     '   {{\n    "kind": "u",\n    "wire": {},\n    "matrix": [\n'
     + _U_ROW + ",\n" + _U_ROW + "\n    ]\n   }}"
 )
+_Z_GATE = '   {{\n    "kind": "z",\n    "wires": {}\n   }}'
+_TOFFOLI_GATE = '   {{\n    "kind": "toffoli",\n    "controls": {},\n    "target": {}\n   }}'
+_CNOT_GATE = '   {{\n    "kind": "cnot",\n    "control": {},\n    "target": {}\n   }}'
+
+
+def _wire_list(wires: tuple[int, ...]) -> str:
+    """A list of wires as the value of a gate field."""
+    return "[\n     " + ",\n     ".join(map(str, wires)) + "\n    ]" if wires else "[]"
 
 
 def _gate_text(g: Gate) -> str:
-    """One gate as it appears in the canonical document. A "u" gate with
-    finite entries fills ``_U_GATE`` (``repr`` is how json writes a finite
-    float); any other gate goes through ``json.dumps``."""
+    """One gate as it appears in the canonical document, from its kind's
+    template (``repr`` is how json writes a finite float). Only a "u" gate
+    with a non-finite entry goes through ``json.dumps``."""
     if isinstance(g, SingleQubit):
         numbers = [x for e in g.u.ravel().tolist() for x in (e.real, e.imag)]
         if all(map(math.isfinite, numbers)):
             return _U_GATE.format(g.wire, *map(repr, numbers))
+    elif isinstance(g, ZGate):
+        return _Z_GATE.format(_wire_list(g.wires))
+    elif isinstance(g, Cnot):
+        return _CNOT_GATE.format(g.control, g.target)
+    elif isinstance(g, Toffoli):
+        return _TOFFOLI_GATE.format(_wire_list(g.controls), g.target)
     return "   " + json.dumps(_gate_to_obj(g), indent=1).replace("\n", "\n   ")
 
 

@@ -14,9 +14,18 @@ diagonal for all of its Z-gates (:class:`SignFlip`), an index permutation for
 all of its Toffoli/Cnot gates (:class:`Gather`), and one :class:`Contraction`
 per run of adjacent bits that carry its single-qubit gates: a run spans at
 most ``FUSE_MAX_BITS`` bits and contracts them with the Kronecker product of
-its gates (identity on a bit without one). The parts apply to a
-*block*: a C-ordered complex array of shape ``(2**w, batch)`` whose column j
-is one state over the w wires, so the batch index varies fastest in memory.
+its gates (identity on a bit without one). Across the slice, a single-qubit
+gate folds into the previous single-qubit gate on its wire when no Z-gate or
+Toffoli touched that wire in between: the earlier layer contracts their
+product and the later layer drops the gate. This never adds a contraction,
+since the earlier layer already contracts that bit, and it removes the later
+layer's contraction when nothing else is left in its run; a chain of gates on
+one wire then costs one pass. The circuit's own gates are never changed,
+and :func:`apply_layer` compiles a single layer, so it never folds.
+
+The parts apply to a *block*: a C-ordered complex array of shape
+``(2**w, batch)`` whose column j is one state over the w wires, so the batch
+index varies fastest in memory.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
 each part is applied through :func:`apply_gate`, the per-part hook, and each
 column's norm is checked once, after the last part. :func:`run` (a whole
@@ -311,10 +320,11 @@ Part = SignFlip | Gather | Contraction
 
 def _compile_layer(
     gates: Sequence[Gate], wires: tuple[int, ...], position: dict[int, int], index: np.ndarray
-) -> list[Part]:
-    """One layer's parts: its Z-gates, its Toffolis and its single-qubit
-    gates, fused by runs of adjacent bits. They commute, as gate supports
-    within a layer are disjoint; a layer whose gates share a wire is refused."""
+) -> tuple[list[Part], dict[int, np.ndarray], int]:
+    """One layer's diagonal and permutation parts, its single-qubit gate
+    matrices keyed by bit position, and the mask of the bits its gates
+    touch. They commute, as gate supports within a layer are disjoint; a
+    layer whose gates share a wire is refused."""
 
     def mask(ws: Iterable[int]) -> int:
         out = 0
@@ -352,7 +362,7 @@ def _compile_layer(
         parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32)))
     if gather is not None:
         parts.append(Gather(gather))
-    return parts + _fused_contractions(singles)
+    return parts, singles, used
 
 
 @dataclass(frozen=True)
@@ -388,15 +398,35 @@ class CompiledLayers:
 
 
 def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLayers:
-    """Compile layers (in application order) over a wire ordering."""
+    """Compile layers (in application order) over a wire ordering.
+
+    A single-qubit gate folds into the previous single-qubit gate on its wire
+    when no Z-gate or Toffoli touched the wire in between: the earlier layer
+    applies their product, and the later layer loses the gate. That never adds
+    a contraction, as the earlier layer already contracted that bit. Gates of
+    one layer never fold together: each layer is checked, and a layer whose
+    gates share a wire refused, before any of its gates folds."""
     wires = tuple(wires)
     check_width(len(wires))
     position = {w: p for p, w in enumerate(wires)}
     index = np.arange(2 ** len(wires))
-    parts: list[Part] = []
+    compiled: list[tuple[list[Part], dict[int, np.ndarray]]] = []
+    # bit -> the single-qubit matrices of the layer whose gate on that bit
+    # later gates fold into (no Z-gate or Toffoli has touched the bit since)
+    open_at: dict[int, dict[int, np.ndarray]] = {}
     for layer in layers:
-        parts += _compile_layer(layer.gates, wires, position, index)
-    return CompiledLayers(wires, tuple(parts))
+        parts, singles, used = _compile_layer(layer.gates, wires, position, index)
+        open_at = {p: held for p, held in open_at.items() if p in singles or not used >> p & 1}
+        for p in list(singles):
+            if p in open_at:
+                open_at[p][p] = singles.pop(p) @ open_at[p][p]
+            else:
+                open_at[p] = singles
+        compiled.append((parts, singles))
+    return CompiledLayers(
+        wires,
+        tuple(part for parts, singles in compiled for part in parts + _fused_contractions(singles)),
+    )
 
 
 def block_columns(width: int) -> int:

@@ -693,6 +693,31 @@ def test_recheck_rejects_a_free_input_that_is_not_free():
         assert not recheck_certificate(dataclasses.replace(cert, free_input=wire), c)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"readings": "both", "reference_readings": "second"},
+        {"readings": "both"},
+        {"readings": "second"},
+        {"reference_readings": "second"},
+        {"reference_readings": "first"},
+    ],
+    ids=lambda edit: ",".join(f"{k}={v}" for k, v in edit.items()),
+)
+def test_recheck_rejects_nan_readings(edit):
+    """Every stored reading is compared against a re-simulated one; a NaN
+    must fail that comparison rather than slip past a ``>`` test."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    cert = parity_certificate(c, "improved")
+    assert recheck_certificate(cert, c)
+    obj = json.loads(certificate_to_json(cert))
+    for field, which in edit.items():
+        for i in {"first": [0], "second": [1], "both": [0, 1]}[which]:
+            obj[field][i] = float("nan")
+    edited = certificate_from_json(json.dumps(obj, indent=1))
+    assert not recheck_certificate(edited, c)
+
+
 def test_small_committed_set_guarantees_free_input():
     # (a+1) * 2^ceil(d/2) = 4 < 12: a free input always remains.
     rng = np.random.default_rng(0)

@@ -22,6 +22,7 @@ from qshallow import (
     validate,
 )
 from qshallow.randcirc import random_bounded_arity_circuit
+import qshallow.circuits as circuits
 
 
 def test_validate_clean_circuit():
@@ -222,6 +223,29 @@ def test_serialize_matches_json_dumps_on_edge_circuits():
     ]
     for c in cases:
         assert serialize_circuit(c) == json_dumps_document(c)
+
+
+def test_every_finite_gate_renders_through_its_template(monkeypatch):
+    """z, toffoli and cnot gates (empty wire lists and multi-digit wires
+    among them) and finite "u" gates never reach ``json.dumps``, and still
+    give its bytes."""
+    c = Circuit(
+        n=12,
+        a=1,
+        target=0,
+        layers=(
+            Layer([ZGate(()), Toffoli((), 0), ZGate((12, 3, 10)), Cnot(5, 7)]),
+            Layer([Toffoli((11, 1, 2), 4), SingleQubit(6, HADAMARD), ZGate((9,))]),
+            Layer(),
+        ),
+    )
+    expected = json_dumps_document(c)
+
+    def refuse(g):
+        raise AssertionError(f"{g!r} went through json.dumps")
+
+    monkeypatch.setattr(circuits, "_gate_to_obj", refuse)
+    assert serialize_circuit(c) == expected
 
 
 def test_rewrite_single_toffoli_matches_on_all_basis_states():

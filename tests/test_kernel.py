@@ -20,6 +20,7 @@ from qshallow import (
     apply_layer,
     circuit_sha256,
     kill_run,
+    rewrite_toffoli_to_z,
     run,
     serialize_circuit,
     strip_killed,
@@ -136,11 +137,12 @@ def single_qubit_circuit(width, depth, rng, share=0.6):
     return Circuit(n=width, a=0, target=width - 1, layers=tuple(layers))
 
 
-def ensemble(kind, seed):
+def ensemble(kind, seed, depth=None):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     a = int(rng.integers(0, 9 - n))  # n + a <= 8
-    depth = int(rng.integers(1, 5))
+    drawn = int(rng.integers(1, 5))
+    depth = drawn if depth is None else depth
     if kind == "z":
         return random_single_qubit_z_circuit(n, a, depth, rng), rng
     if kind == "bounded":
@@ -348,6 +350,117 @@ def test_fused_groups_for_gates_on_bits_0_1_2_3_5_9():
     expect = np.kron(np.kron(np.kron(gates[3], gates[2]), gates[1]), gates[0])
     assert np.abs(parts[1].u - expect).max() <= TOL
     assert np.array_equal(parts[2].u, gates[5]) and np.array_equal(parts[3].u, gates[9])
+
+
+# -- single-qubit chains folded across layers ----------------------------------
+
+
+def layer_by_layer_contractions(layers, wires):
+    """Contractions the slice compiles to when each layer compiles alone."""
+    return sum(len(contraction_spans(compile_layers((layer,), wires))) for layer in layers)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_folded_multi_layer_slices_match_dense_reference(kind):
+    """Slices of two or more layers of deeper draws, so single-qubit gates
+    chain across several layers (the Toffoli ensemble rewritten to H-Z-H,
+    which puts H gates back to back); a folded slice never compiles to more
+    contractions than its layers do one by one, and some slices fold."""
+    folded = 0
+    for seed in range(6):
+        c, rng = ensemble(kind, 800 + seed, depth=3 if kind == "toffoli" else 6)
+        if kind == "toffoli":
+            c = rewrite_toffoli_to_z(c)
+        wires = tuple(range(c.wires))
+        block = random_columns(rng, c.wires, 5)
+        for lo in range(c.depth()):
+            dense = layer_matrix(c.layers[lo], wires)
+            for hi in range(lo + 1, c.depth()):
+                dense = layer_matrix(c.layers[hi], wires) @ dense
+                layers = c.layers[lo : hi + 1]
+                compiled = compile_layers(layers, wires)
+                spans = len(contraction_spans(compiled))
+                assert spans <= layer_by_layer_contractions(layers, wires)
+                folded += spans < layer_by_layer_contractions(layers, wires)
+                assert np.abs(compiled.apply(block.copy()) - dense @ block).max() <= TOL
+    assert folded
+
+
+def test_chain_across_three_layers_compiles_to_one_contraction():
+    """Wire 1 carries a gate in layers 0, 2 and 3 and skips layer 1, whose
+    Z-gate touches other wires: the chain is one contraction, in layer 0's
+    place, of the product in application order."""
+    rng = np.random.default_rng(11)
+    us = [random_unitary(rng) for _ in range(3)]
+    layers = (
+        Layer([SingleQubit(1, us[0])]),
+        Layer([ZGate((0, 2))]),
+        Layer([SingleQubit(1, us[1])]),
+        Layer([SingleQubit(1, us[2])]),
+    )
+    compiled = compile_layers(layers, range(3))
+    parts = compiled.parts
+    assert [type(p) for p in parts] == [Contraction, SignFlip]
+    assert parts[0].position == 1
+    assert np.abs(parts[0].u - us[2] @ us[1] @ us[0]).max() <= TOL
+    c = Circuit(n=3, a=0, target=2, layers=layers)
+    block = random_columns(rng, 3, 4)
+    assert np.abs(compiled.apply(block.copy()) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
+
+
+@pytest.mark.parametrize(
+    "between",
+    [ZGate((1,)), ZGate((0, 1)), Toffoli((1,), 2), Toffoli((0, 2), 1), Cnot(1, 0)],
+    ids=["z", "z-pair", "control", "target", "cnot-control"],
+)
+def test_z_gate_or_toffoli_on_the_wire_stops_the_fold(between):
+    rng = np.random.default_rng(12)
+    first, second = random_unitary(rng), random_unitary(rng)
+    layers = (
+        Layer([SingleQubit(1, first)]),
+        Layer([between]),
+        Layer([SingleQubit(1, second)]),
+    )
+    compiled = compile_layers(layers, range(3))
+    contractions = [p for p in compiled.parts if isinstance(p, Contraction)]
+    assert [type(p) for p in compiled.parts][1:-1] in ([SignFlip], [Gather])
+    assert len(contractions) == 2
+    assert np.array_equal(contractions[0].u, first) and np.array_equal(contractions[1].u, second)
+    c = Circuit(n=3, a=0, target=2, layers=layers)
+    block = random_columns(rng, 3, 4)
+    assert np.abs(compiled.apply(block.copy()) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        Layer([SingleQubit(0, PAULI_X), SingleQubit(0, HADAMARD)]),
+        Layer([SingleQubit(0, HADAMARD), ZGate((0, 1))]),
+        Layer([SingleQubit(1, HADAMARD), SingleQubit(0, PAULI_X), Toffoli((), 0)]),
+    ],
+    ids=["two-singles", "single-and-z", "single-and-x"],
+)
+def test_fold_still_refuses_a_layer_that_uses_a_wire_twice(second):
+    """Wire 0 carries a single-qubit gate in the layer before, so the first
+    of the later layer's gates on wire 0 could fold; the layer is refused."""
+    layers = (Layer([SingleQubit(0, HADAMARD), SingleQubit(1, PAULI_X)]), second)
+    with pytest.raises(ValueError, match="overlapping supports.*wire 0"):
+        compile_layers(layers, range(2))
+    with pytest.raises(ValueError, match="overlapping supports.*wire 0"):
+        run(Circuit(n=2, a=0, target=1, layers=layers), PartialState.zero((0, 1)))
+
+
+def test_compiling_leaves_the_circuit_gate_matrices_unchanged():
+    rng = np.random.default_rng(13)
+    c = single_qubit_circuit(6, 5, rng, share=0.9)
+    singles = [g for layer in c.layers for g in layer.gates if isinstance(g, SingleQubit)]
+    before = [g.u.copy() for g in singles]
+    compiled = compile_layers(c.layers, range(6))
+    compiled.apply(random_columns(rng, 6, 3))
+    list(run_basis(c, np.arange(8)))
+    assert len(contraction_spans(compiled)) < layer_by_layer_contractions(c.layers, range(6))
+    for g, u in zip(singles, before):
+        assert np.array_equal(g.u, u)
 
 
 # -- batching ------------------------------------------------------------------
