@@ -39,7 +39,9 @@ print(f"influential wires by exhaustive scan: {list(influential)}")
 print(f"contained in the cone: {set(influential) <= report.sets[-1]}")
 print()
 
-# The full-depth circuit covers every input, so this argument has no verdict.
-verdict = check_depth_bound(full, "parity")
-print(f"full circuit: arity-depth trigger k^d < n is {verdict.bound_triggered}, "
-      f"free inputs {list(lightcone(full, m).free_inputs)} -> verdict: {verdict.verdict}")
+# check_depth_bound decides from the cone alone, with no simulation. The
+# full-depth circuit covers every input, so this argument has no verdict there.
+for name, c in (("truncated", truncated), ("full", full)):
+    verdict = check_depth_bound(c, "parity")
+    print(f"{name} circuit: arity-depth trigger k^d < n is {verdict.bound_triggered}, "
+          f"free inputs {list(verdict.report.free_inputs)} -> verdict: {verdict.verdict}")

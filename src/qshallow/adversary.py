@@ -195,9 +195,9 @@ def kill_base(c: Circuit, mode: Mode) -> KillState:
 def kill_step(s: KillState, c: Circuit) -> KillState:
     """Advance one layer toward the input in one pass over its gates. A
     Z-gate that straddles K is killed: for free via a wire pinned on the last
-    step in improved mode, else by recruiting one of its uncommitted wires
-    into K pinned to |0> (an ancilla first, else the lowest). A gate inside K
-    is pulled back through the witness; a gate off K is skipped."""
+    step in improved mode, else by recruiting its lowest uncommitted wire
+    into K pinned to |0> (an input: ``kill_base`` commits every ancilla). A
+    gate inside K is pulled back through the witness; a gate off K is skipped."""
     if s.k >= c.depth():
         raise ValueError(f"all {c.depth()} layers already processed")
     layer_index = c.depth() - 1 - s.k
@@ -214,8 +214,7 @@ def kill_step(s: KillState, c: Circuit) -> KillState:
         elif isinstance(g, ZGate) and support & pinned:
             killed.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
         elif isinstance(g, ZGate):
-            outside = sorted(support - committed)
-            recruit = next((w for w in outside if w >= c.n), outside[0])
+            recruit = min(support - committed)
             killed.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
         else:
             raise InvariantError(

@@ -34,7 +34,7 @@ from .circuits import (
     serialize_circuit,
     validate,
 )
-from .lightcone import lightcone, lightcone_counterexample
+from .lightcone import check_depth_bound
 from .reference import (
     ReferenceOp,
     build_parity_logdepth,
@@ -112,26 +112,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_lightcone(args: argparse.Namespace) -> int:
     c = _read_circuit(args.circuit)
-    report = lightcone(c, MeasurementSpec(c.target))
+    verdict = check_depth_bound(c, args.against)
+    report = verdict.report
     for i, s in enumerate(report.sets, start=1):
         print(f"S_{i} (|.| <= {report.max_arity}^{i}): {sorted(s)}")
     print(f"free inputs: {list(report.free_inputs)}")
-    triggered = report.max_arity ** c.depth() < c.n
     print(
-        f"arity-depth trigger k^d < n: {report.max_arity}^{c.depth()} < {c.n}"
-        f" is {str(triggered).lower()}"
+        f"arity-depth trigger k^d < n: {report.max_arity}^{verdict.depth} < {verdict.n}"
+        f" is {str(verdict.bound_triggered).lower()}"
     )
-    pair = lightcone_counterexample(c, MeasurementSpec(c.target), args.against)
-    if pair is None:
+    if verdict.flip_wire is None:
         print("no counterexample: lightcone covers every input")
         return EXIT_OK
     print(
-        f"counterexample: flipping free input {pair.flip_wire} leaves the circuit's"
-        f" target reading at {pair.readings[0].p1:.3e} -> {pair.readings[1].p1:.3e},"
-        f" while {args.against} flips {pair.parity_readings[0]:.0f} ->"
-        f" {pair.parity_readings[1]:.0f}"
+        f"counterexample: free input {verdict.flip_wire} lies outside the target's"
+        f" backward cone, so flipping it leaves the circuit's target reading"
+        f" unchanged, while {args.against} flips it"
     )
-    print(f"verdict: not-{args.against}")
+    print(f"verdict: {verdict.verdict}")
     return EXIT_NEGATIVE
 
 

@@ -3,9 +3,9 @@
 Walking from the output layer toward the input, the set of wires that can
 influence a single measured wire grows by at most a factor of the maximum
 gate arity k per layer. When the deepest set still misses some input wire,
-that wire provably cannot affect the measurement, and flipping it yields a
-machine-checkable pair of inputs on which the circuit disagrees with the
-parity operator (whose output depends on every input).
+that wire provably cannot affect the measurement, while parity's output
+depends on every input: ``check_depth_bound`` reads that verdict off the
+cone, and ``lightcone_counterexample`` illustrates it with simulated readings.
 
 Set indexing follows the measurement outward: ``sets[0]`` is the support at
 the output layer and ``sets[-1]`` the full cone at the input side.
@@ -44,16 +44,26 @@ class LightconePair:
 
 @dataclass(frozen=True)
 class DepthBoundVerdict:
-    """Finite-instance depth-bound check: when max_arity**depth < n the
-    lightcone cannot cover every input and a counterexample is attempted."""
+    """The lightcone verdict on a circuit's target, decided from ``report``
+    alone: ``not-{against}`` exactly when some input is free, with
+    ``free_inputs[0]`` as the flip wire. ``bound_triggered`` records whether
+    the finite arity-depth bound max_arity**depth < n holds; a free input
+    decides the verdict either way."""
 
     against: OpKind
     n: int
     depth: int
-    max_arity: int
     bound_triggered: bool
-    pair: LightconePair | None
+    report: LightconeReport
     verdict: str  # "not-parity" | "not-fanout" | "no-verdict"
+
+    @property
+    def max_arity(self) -> int:
+        return self.report.max_arity
+
+    @property
+    def flip_wire(self) -> int | None:
+        return self.report.free_inputs[0] if self.report.free_inputs else None
 
 
 def lightcone(c: Circuit, m: MeasurementSpec) -> LightconeReport:
@@ -86,31 +96,18 @@ def lightcone_counterexample(
 
 
 def check_depth_bound(c: Circuit, against: OpKind = "parity") -> DepthBoundVerdict:
-    """Test the finite form of the arity-depth bound and package the result."""
-    k = c.max_arity()
-    triggered = k ** c.depth() < c.n
-    pair = None
-    verdict = "no-verdict"
-    if triggered:
-        pair = lightcone_counterexample(c, MeasurementSpec(c.target), against)
-        if pair is not None:
-            verdict = "not-parity" if against == "parity" else "not-fanout"
+    """The one lightcone verdict, from the cone walk alone: a free input lies
+    outside the target's backward cone, so flipping it cannot move the
+    target's reading while the operator's flips, and nothing is simulated.
+    Against fanout the analyzed circuit is the Hadamard conjugate, which only
+    adds single-qubit layers; those never grow a cone, so it has the same
+    cone and free inputs as ``c`` and ``c`` is walked directly."""
+    report = lightcone(c, MeasurementSpec(c.target))
     return DepthBoundVerdict(
         against=against,
         n=c.n,
         depth=c.depth(),
-        max_arity=k,
-        bound_triggered=triggered,
-        pair=pair,
-        verdict=verdict,
+        bound_triggered=report.max_arity ** c.depth() < c.n,
+        report=report,
+        verdict=f"not-{against}" if report.free_inputs else "no-verdict",
     )
-
-
-def report_to_dict(report: LightconeReport) -> dict:
-    """JSON-ready rendering (sets as sorted arrays)."""
-    return {
-        "sets": [sorted(s) for s in report.sets],
-        "max_arity": report.max_arity,
-        "bound_per_level": list(report.bound_per_level),
-        "free_inputs": list(report.free_inputs),
-    }

@@ -281,7 +281,7 @@ def test_adversary_selfcheck_refuses_negative_trials(random12, capsys):
     assert "trials must be >= 0, got -1" in capsys.readouterr().err
 
 
-def test_lightcone_too_wide_cone_exits_2_without_allocating(tmp_path, capsys):
+def test_lightcone_too_wide_cone_is_a_verdict_without_allocating(tmp_path, capsys):
     path = tmp_path / "wide41.json"
     gate = {"kind": "z", "wires": list(range(40))}
     doc = {"n": 41, "ancillae": 0, "target": 0, "layers": [[gate]]}
@@ -292,14 +292,27 @@ def test_lightcone_too_wide_cone_exits_2_without_allocating(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
-    assert "exceeds the 24-wire simulation limit" in capsys.readouterr().err
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "counterexample: free input 40 lies outside" in out
+    assert "verdict: not-parity" in out
     assert peak < 2**20  # a table over 41 wires would be 16 TiB
 
 
 def test_lightcone_verdict_at_n_1024(tmp_path, capsys):
     path = tmp_path / "wide1024.json"
     c = random_bounded_arity_circuit(1024, 0, 4, np.random.default_rng(3))
+    path.write_text(serialize_circuit(c))
+    assert main(["lightcone", "--circuit", str(path)]) == 1
+    assert "verdict: not-parity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [6, 7, 8, 9])
+def test_lightcone_verdict_at_paper_scale(tmp_path, capsys, depth):
+    # Cones of about 50 to 150 wires: no simulation could hold them, and the
+    # verdict needs none.
+    path = tmp_path / "paper1024.json"
+    c = random_bounded_arity_circuit(1024, 0, depth, np.random.default_rng(0), max_arity=2)
     path.write_text(serialize_circuit(c))
     assert main(["lightcone", "--circuit", str(path)]) == 1
     assert "verdict: not-parity" in capsys.readouterr().out

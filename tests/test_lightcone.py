@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from qshallow import (
     read_target,
     run,
     sensitivity_scan,
+    serialize_circuit,
 )
+from qshallow.cli import main
 from qshallow.randcirc import random_bounded_arity_circuit
 
 
@@ -103,16 +107,19 @@ def test_check_depth_bound_triggered_and_found():
     c = random_bounded_arity_circuit(8, 0, 2, rng, max_arity=2)
     verdict = check_depth_bound(c, "parity")
     assert verdict.bound_triggered  # 2^2 < 8
-    assert verdict.pair is not None
+    assert verdict.report.free_inputs
     assert verdict.verdict == "not-parity"
 
 
 def test_check_depth_bound_not_triggered():
+    # The bound does not force a free input here, but the cone still misses
+    # wire 2, and that decides the verdict.
     rng = np.random.default_rng(2)
     c = random_bounded_arity_circuit(4, 0, 2, rng, max_arity=2)
     verdict = check_depth_bound(c, "parity")
     assert not verdict.bound_triggered  # 2^2 = 4
-    assert verdict.verdict == "no-verdict"
+    assert verdict.verdict == "not-parity"
+    assert verdict.flip_wire == 2
 
 
 def test_check_depth_bound_giant_toffoli():
@@ -129,7 +136,7 @@ def test_fanout_verdict_via_conjugation():
     c = random_bounded_arity_circuit(8, 0, 2, rng, max_arity=2)
     verdict = check_depth_bound(c, "fanout")
     assert verdict.bound_triggered
-    assert verdict.pair is not None
+    assert verdict.report.free_inputs
     assert verdict.verdict == "not-fanout"
 
 
@@ -138,3 +145,52 @@ def test_counterexample_flips_least_free_input():
     pair = lightcone_counterexample(c, MeasurementSpec(3))
     assert pair.flip_wire == 0
     assert pair.x == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("against", ["parity", "fanout"])
+def test_verdict_agrees_with_the_simulated_pair(against):
+    # lightcone_counterexample simulates the analyzed circuit (the Hadamard
+    # conjugate against fanout) on both inputs; it is the oracle for the
+    # verdict that check_depth_bound reads off the cone alone.
+    rng = np.random.default_rng(11)
+    decided = untriggered = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        a = int(rng.integers(0, 10 - n + 1))
+        k = int(rng.integers(2, 4))
+        c = random_bounded_arity_circuit(n, a, int(rng.integers(0, 5)), rng, max_arity=k)
+        m = MeasurementSpec(c.target)
+        verdict = check_depth_bound(c, against)
+        pair = lightcone_counterexample(c, m, against)
+        if pair is None:
+            assert verdict.verdict == "no-verdict" and verdict.flip_wire is None
+            continue
+        assert verdict.verdict == f"not-{against}"
+        assert verdict.flip_wire == pair.flip_wire
+        assert verdict.flip_wire not in sensitivity_scan(c, m)
+        decided += 1
+        untriggered += not verdict.bound_triggered
+    assert 0 < untriggered < decided < 120
+
+
+def test_verdicts_run_no_simulation(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lightcone verdict simulated the circuit")
+
+    adversary = importlib.import_module("qshallow.adversary")
+    lightcone_module = importlib.import_module("qshallow.lightcone")
+    sim = importlib.import_module("qshallow.sim")
+    for module, name in (
+        (adversary, "flip_pair"),
+        (lightcone_module, "flip_pair"),
+        (sim, "run"),
+        (sim, "apply_gate"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    c = random_bounded_arity_circuit(8, 0, 2, np.random.default_rng(1), max_arity=2)
+    assert check_depth_bound(c, "parity").verdict == "not-parity"
+    assert check_depth_bound(c, "fanout").verdict == "not-fanout"
+    path = tmp_path / "c.json"
+    path.write_text(serialize_circuit(c))
+    assert main(["lightcone", "--circuit", str(path), "--against", "fanout"]) == 1
+    assert "verdict: not-fanout" in capsys.readouterr().out
