@@ -19,7 +19,7 @@ m = MeasurementSpec(truncated.target)
 report = lightcone(truncated, m)
 print(f"max gate arity k = {report.max_arity}")
 for i, s in enumerate(report.sets, start=1):
-    print(f"S_{i} = {sorted(s)}   (|S_{i}| = {len(s)} <= k^{i} = {report.bound_per_level[i-1]})")
+    print(f"S_{i} = {sorted(s)}   (|S_{i}| = {len(s)} <= k^{i} = {report.max_arity ** i})")
 print(f"free inputs (outside S_{len(report.sets)}): {list(report.free_inputs)}")
 print()
 

@@ -255,13 +255,6 @@ class VerifyKillResult:
     max_state_diff: float
 
 
-def _tensor_columns(rest: np.ndarray, own: np.ndarray, witness: np.ndarray) -> np.ndarray:
-    """Block whose column j is (rest column j) tensor the witness."""
-    block = rest[own]
-    block *= witness
-    return block
-
-
 def _cone_split(
     c: Circuit, from_layer: int, killed: tuple[KillRecord, ...]
 ) -> tuple[tuple[Layer, ...], tuple[Layer, ...], tuple[Layer, ...]]:
@@ -340,7 +333,11 @@ def verify_kill(
             amps = re + 1j * im
             rest[:, j] = amps / np.linalg.norm(amps)
         rest[0, : columns - drawn] = 1.0
-        out_killed = shared.apply(_tensor_columns(rest, own, witness))
+        # Column j is (rest column j) tensor the witness. One name holds the
+        # block throughout, so the buffer apply swaps out is freed at once.
+        out_killed = rest[own]
+        out_killed *= witness
+        out_killed = shared.apply(out_killed)
         if not s.killed:  # both tails are empty: the block is both outputs
             p1 = column_probabilities(out_killed, target).tolist()
             readings.extend(zip(p1, p1))
@@ -434,10 +431,13 @@ def flip_pair(
 
 
 def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
-    mass = 0.0
-    for w in range(c.n, c.wires):
-        mass = max(mass, psi.restricted_probability(w, 1))
-    return mass <= READING_TOL
+    """Whether the witness reads |0> on every ancilla it covers (an ancilla
+    it leaves out starts in |0>)."""
+    return all(
+        psi.restricted_probability(w, 1) <= READING_TOL
+        for w in range(c.n, c.wires)
+        if w in psi.wires
+    )
 
 
 def parity_certificate(
@@ -493,16 +493,12 @@ def certificate_to_json(cert: KillCertificate) -> str:
         "mode": cert.mode,
         "history": [asdict(e) for e in cert.history],
         "witness": {
-            "wires": list(cert.psi_wires),
+            "wires": cert.psi_wires,
             "amps": [[v.real, v.imag] for v in cert.psi_amps],
         },
         "free_input": cert.free_input,
-        "readings": list(cert.readings) if cert.readings is not None else None,
-        "reference_readings": (
-            list(cert.reference_readings)
-            if cert.reference_readings is not None
-            else None
-        ),
+        "readings": cert.readings,  # json writes a tuple as a list
+        "reference_readings": cert.reference_readings,
         "ancilla_consistency": cert.ancilla_consistency,
         "verdict": cert.verdict,
     }
@@ -543,13 +539,21 @@ def certificate_from_json(text: str) -> KillCertificate:
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Independently replay a certificate against a circuit: hash, witness
-    readings, and the parity-operator separation are all re-simulated."""
-    if circuit_sha256(c) != cert.circuit_sha256:
+    """Independently replay a certificate against a circuit: its hash, an
+    ``against`` of parity or fanout, and the witness's ``ancilla_consistency``.
+    An inconclusive verdict has no free input or ``readings``; any other is
+    ``not-{against}``, with an input wire outside the witness as free input,
+    and the re-simulated flip pair must read ~0, match the stored readings,
+    and give parity readings that sum to 1. The kill history is not read."""
+    if circuit_sha256(c) != cert.circuit_sha256 or cert.against not in ("parity", "fanout"):
         return False
     psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
+    if cert.ancilla_consistency != _ancilla_consistency(psi, c):
+        return False
     if cert.verdict == "inconclusive":
         return cert.free_input is None and cert.readings is None
+    if cert.verdict != f"not-{cert.against}":
+        return False
     if cert.free_input is None or cert.readings is None or cert.reference_readings is None:
         return False
     analyzed = analyzed_circuit(c, cert.against)

@@ -117,12 +117,6 @@ class Layer:
     def __init__(self, gates: Iterable[Gate] = ()) -> None:
         object.__setattr__(self, "gates", tuple(gates))
 
-    def support(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for g in self.gates:
-            out |= g.support()
-        return out
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -184,23 +178,15 @@ def backward_cone(c: Circuit, wire: int) -> tuple[tuple[frozenset[int], ...], Ci
     return tuple(sets) or (current,), cone
 
 
-def gate_kinds(c: Circuit) -> set[str]:
-    kinds: set[str] = set()
-    for layer in c.layers:
-        for g in layer.gates:
-            kinds.add(type(g).__name__)
-    return kinds
-
-
 def is_single_qubit_z_circuit(c: Circuit) -> bool:
     """True when the circuit contains only SingleQubit and ZGate gates."""
-    return gate_kinds(c) <= {"SingleQubit", "ZGate"}
+    return all(isinstance(g, (SingleQubit, ZGate)) for layer in c.layers for g in layer.gates)
 
 
 def is_permutation_circuit(c: Circuit) -> bool:
     """True when the circuit contains only basis-permuting gates (Toffolis,
     Cnot included)."""
-    return gate_kinds(c) <= {"Toffoli", "Cnot"}
+    return all(isinstance(g, Toffoli) for layer in c.layers for g in layer.gates)
 
 
 def _validate_gate(g: Gate, wires: int, where: str, violations: list[str]) -> None:
@@ -265,19 +251,6 @@ def validate(c: Circuit) -> list[str]:
 #        | {"kind":"toffoli","controls":[q,...],"target":q}
 #        | {"kind":"cnot","control":q,"target":q}
 # ---------------------------------------------------------------------------
-
-
-def _gate_to_obj(g: Gate) -> dict:
-    if isinstance(g, SingleQubit):
-        matrix = [[[float(e.real), float(e.imag)] for e in row] for row in g.u]
-        return {"kind": "u", "wire": g.wire, "matrix": matrix}
-    if isinstance(g, ZGate):
-        return {"kind": "z", "wires": list(g.wires)}
-    if isinstance(g, Cnot):
-        return {"kind": "cnot", "control": g.control, "target": g.target}
-    if isinstance(g, Toffoli):
-        return {"kind": "toffoli", "controls": list(g.controls), "target": g.target}
-    raise TypeError(f"unknown gate type {type(g).__name__}")
 
 
 def _require(obj: dict, key: str, where: str):
@@ -362,8 +335,8 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
-# Gates as ``json.dumps(..., indent=1)`` renders them three levels deep in
-# the document: a "u" gate with a field for the wire and for each of the eight
+# Gates as json's ``indent=1`` layout renders them three levels deep in the
+# document: a "u" gate with a field for the wire and for each of the eight
 # numbers, and the other kinds with a field per wire or wire list.
 _U_ENTRY = "      [\n       {},\n       {}\n      ]"
 _U_ROW = "     [\n" + _U_ENTRY + ",\n" + _U_ENTRY + "\n     ]"
@@ -374,6 +347,8 @@ _U_GATE = (
 _Z_GATE = '   {{\n    "kind": "z",\n    "wires": {}\n   }}'
 _TOFFOLI_GATE = '   {{\n    "kind": "toffoli",\n    "controls": {},\n    "target": {}\n   }}'
 _CNOT_GATE = '   {{\n    "kind": "cnot",\n    "control": {},\n    "target": {}\n   }}'
+# json writes a float as its ``repr``, except for these three spellings.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _wire_list(wires: tuple[int, ...]) -> str:
@@ -383,25 +358,23 @@ def _wire_list(wires: tuple[int, ...]) -> str:
 
 def _gate_text(g: Gate) -> str:
     """One gate as it appears in the canonical document, from its kind's
-    template (``repr`` is how json writes a finite float). Only a "u" gate
-    with a non-finite entry goes through ``json.dumps``."""
+    template."""
     if isinstance(g, SingleQubit):
         numbers = [x for e in g.u.ravel().tolist() for x in (e.real, e.imag)]
-        if all(map(math.isfinite, numbers)):
-            return _U_GATE.format(g.wire, *map(repr, numbers))
-    elif isinstance(g, ZGate):
+        return _U_GATE.format(g.wire, *[_NON_FINITE.get(t, t) for t in map(repr, numbers)])
+    if isinstance(g, ZGate):
         return _Z_GATE.format(_wire_list(g.wires))
-    elif isinstance(g, Cnot):
+    if isinstance(g, Cnot):
         return _CNOT_GATE.format(g.control, g.target)
-    elif isinstance(g, Toffoli):
+    if isinstance(g, Toffoli):
         return _TOFFOLI_GATE.format(_wire_list(g.controls), g.target)
-    return "   " + json.dumps(_gate_to_obj(g), indent=1).replace("\n", "\n   ")
+    raise TypeError(f"unknown gate type {type(g).__name__}")
 
 
 def serialize_circuit(c: Circuit) -> str:
     """Render the canonical JSON document (fixed field order, one gate per
-    entry): the text of ``json.dumps(obj, indent=1)`` for the document object,
-    written out gate by gate."""
+    entry): the bytes Python's json module writes for the document object
+    with ``indent=1``, written out gate by gate."""
     layers = [
         "  [\n" + ",\n".join(map(_gate_text, layer.gates)) + "\n  ]" if layer.gates else "  []"
         for layer in c.layers

@@ -56,11 +56,12 @@ def _read_circuit(path: str) -> Circuit:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _parse_bits(raw: str) -> list[int]:

@@ -27,7 +27,6 @@ class LightconeReport:
 
     sets: tuple[frozenset[int], ...]
     max_arity: int
-    bound_per_level: tuple[int, ...]
     free_inputs: tuple[int, ...]
 
 
@@ -70,13 +69,9 @@ def lightcone(c: Circuit, m: MeasurementSpec) -> LightconeReport:
     """Propagate the measured wire's influence set backward through the layers."""
     if not 0 <= m.wire < c.wires:
         raise ValueError(f"measured wire {m.wire} out of range")
-    k = c.max_arity()
     sets, _ = backward_cone(c, m.wire)
     free_inputs = tuple(w for w in range(c.n) if w not in sets[-1])
-    bounds = tuple(k ** i for i in range(1, len(sets) + 1))
-    return LightconeReport(
-        sets=sets, max_arity=k, bound_per_level=bounds, free_inputs=free_inputs
-    )
+    return LightconeReport(sets=sets, max_arity=c.max_arity(), free_inputs=free_inputs)
 
 
 def lightcone_counterexample(

@@ -46,10 +46,11 @@ def random_single_qubit_z_circuit(
     rng: np.random.Generator,
     p_single: float = 0.5,
     p_join_z: float = 0.5,
-    max_z_size: int = 4,
 ) -> Circuit:
-    """Layers of 1/2-probability single-qubit gates plus Z-gates over random
-    disjoint wire sets of size <= max_z_size. Target is the last input wire."""
+    """Each wire of a layer gets a single-qubit gate with probability
+    ``p_single``; each other wire joins the Z pool with probability
+    ``p_join_z``, and the pool is shuffled and cut into Z-gates of 2 to 4
+    wires (the last one possibly smaller). Target is the last input wire."""
     wires = n + a
     layers = []
     for _ in range(depth):
@@ -63,7 +64,7 @@ def random_single_qubit_z_circuit(
         pool = [w for w in free if rng.random() < p_join_z]
         rng.shuffle(pool)
         while pool:
-            size = min(int(rng.integers(2, max_z_size + 1)), len(pool))
+            size = min(int(rng.integers(2, 5)), len(pool))
             group, pool = pool[:size], pool[size:]
             gates.append(ZGate(tuple(sorted(group))))
         layers.append(Layer(gates))
@@ -76,11 +77,12 @@ def random_bounded_arity_circuit(
     depth: int,
     rng: np.random.Generator,
     max_arity: int = 2,
-    p_multi: float = 0.6,
-    p_single: float = 0.5,
 ) -> Circuit:
-    """Layers of single-qubit gates and multi-wire gates (Cnot or Z) of arity
-    at most ``max_arity``. Target is the last input wire."""
+    """Each layer walks a shuffled order of the wires. While two or more
+    remain, with probability 0.6 the next 2 to ``max_arity`` wires take a
+    multi-wire gate: a pair is a Cnot or a Z-gate with probability 1/2 each,
+    a larger group a Z-gate. Otherwise the next wire gets a single-qubit gate
+    with probability 1/2. Target is the last input wire."""
     if max_arity < 2:
         raise ValueError("need max_arity >= 2")
     wires = n + a
@@ -90,7 +92,7 @@ def random_bounded_arity_circuit(
         rng.shuffle(order)
         gates: list = []
         while order:
-            if len(order) >= 2 and rng.random() < p_multi:
+            if len(order) >= 2 and rng.random() < 0.6:
                 size = min(int(rng.integers(2, max_arity + 1)), len(order))
                 group, order = order[:size], order[size:]
                 if size == 2 and rng.random() < 0.5:
@@ -99,7 +101,7 @@ def random_bounded_arity_circuit(
                     gates.append(ZGate(tuple(sorted(group))))
             else:
                 w, order = order[0], order[1:]
-                if rng.random() < p_single:
+                if rng.random() < 0.5:
                     gates.append(_random_single_qubit(w, rng))
         layers.append(Layer(gates))
     return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))

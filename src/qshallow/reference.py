@@ -155,21 +155,15 @@ def build_parity_logdepth(n: int) -> Circuit:
         next_wire += size
         remaining -= size
         tree_depth = max(0, (size - 1).bit_length())  # ceil(log2(size)), 0 for size 1
-        # Compute the block's XOR into block[0] during layers slot-tree_depth..slot-1.
+        # Level l of the block's XOR tree into block[0] runs in layer
+        # slot-tree_depth-1+l and, unwinding in mirror order, in layer
+        # slot+tree_depth+1-l (1-based); the sum reaches the target in layer slot.
         for level in range(1, tree_depth + 1):
             stride = 2 ** (level - 1)
-            layer = slot - 1 - tree_depth + level
-            for j in range(0, size, 2 * stride):
-                if j + stride < size:
-                    layer_gates[layer - 1].append(Cnot(block[j + stride], block[j]))
+            gates = [Cnot(block[j + stride], block[j]) for j in range(0, size - stride, 2 * stride)]
+            layer_gates[slot - tree_depth - 2 + level].extend(gates)
+            layer_gates[slot + tree_depth - level].extend(gates)
         layer_gates[slot - 1].append(Cnot(block[0], target))
-        # Unwind in mirror order during layers slot+1..slot+tree_depth.
-        for level in range(tree_depth, 0, -1):
-            stride = 2 ** (level - 1)
-            layer = slot + 1 + tree_depth - level
-            for j in range(0, size, 2 * stride):
-                if j + stride < size:
-                    layer_gates[layer - 1].append(Cnot(block[j + stride], block[j]))
     assert remaining == 0, "slot capacities did not cover all inputs"
     return Circuit(
         n=n + 1,

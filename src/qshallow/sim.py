@@ -134,10 +134,8 @@ class PartialState:
 
     def __post_init__(self) -> None:
         wires = tuple(self.wires)
-        if len(set(wires)) != len(wires):
-            raise ValueError(f"duplicate wires in state: {wires}")
         if any(wires[i] >= wires[i + 1] for i in range(len(wires) - 1)):
-            raise ValueError(f"state wires must be sorted ascending: {wires}")
+            raise ValueError(f"state wires must be ascending without duplicates: {wires}")
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 ** len(wires),):
             raise ValueError(

@@ -109,6 +109,13 @@ def _verify_clean_dense(
     )
 
 
+def _check_arity(c: Circuit, op: ReferenceOp) -> None:
+    if c.n != op.n + 1:
+        raise ValueError(
+            f"circuit has {c.n} non-ancilla wires but op of arity {op.n} needs {op.n + 1}"
+        )
+
+
 def verify_clean(c: Circuit, op: ReferenceOp, strict_phase: bool = False) -> VerifyResult:
     """Check that the circuit cleanly computes the reference operator on every
     basis input (ancillae 0, and required to end at 0).
@@ -117,10 +124,7 @@ def verify_clean(c: Circuit, op: ReferenceOp, strict_phase: bool = False) -> Ver
     and allow up to op.n + a = 16; general circuits are simulated
     amplitude-by-amplitude and allow up to op.n + a = 10.
     """
-    if c.n != op.n + 1:
-        raise ValueError(
-            f"circuit has {c.n} non-ancilla wires but op of arity {op.n} needs {op.n + 1}"
-        )
+    _check_arity(c, op)
     if is_permutation_circuit(c):
         if op.n + c.a > PERMUTATION_CHECK_MAX_WIRES:
             raise ValueError(
@@ -138,11 +142,7 @@ def robust_check(c: Circuit, against: ReferenceOp) -> bool:
     per-input global phase. Limited to n + a <= 10."""
     if c.wires > DENSE_CHECK_MAX_WIRES:
         raise ValueError(f"robust check limited to n + a <= {DENSE_CHECK_MAX_WIRES}")
-    if c.n != against.n + 1:
-        raise ValueError(
-            f"circuit has {c.n} non-ancilla wires but op of arity {against.n}"
-            f" needs {against.n + 1}"
-        )
+    _check_arity(c, against)
     return _verify_clean_dense(c, against, False, np.arange(2**c.wires)).ok
 
 

@@ -718,6 +718,27 @@ def test_recheck_rejects_nan_readings(edit):
     assert not recheck_certificate(edited, c)
 
 
+@pytest.mark.parametrize(
+    "shape, edit",
+    [
+        ((12, 0, 4), {"verdict": "banana"}),
+        ((12, 0, 4), {"verdict": "not-fanout"}),
+        ((12, 0, 4), {"against": "banana", "verdict": "not-banana"}),
+        ((6, 2, 3), {"ancilla_consistency": True}),
+    ],
+    ids=["verdict", "verdict-against-mismatch", "against", "ancilla-consistency"],
+)
+def test_recheck_rejects_edited_claims(shape, edit):
+    """The verdict must be not-{against} for an against of parity or fanout,
+    and the ancilla flag must be the one the witness gives. The n=6, a=2
+    certificate's witness excites an ancilla, so its flag is false."""
+    c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
+    cert = parity_certificate(c, "improved")
+    assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
+    assert all(getattr(cert, field) != value for field, value in edit.items())
+    assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
+
+
 def test_small_committed_set_guarantees_free_input():
     # (a+1) * 2^ceil(d/2) = 4 < 12: a free input always remains.
     rng = np.random.default_rng(0)

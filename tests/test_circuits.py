@@ -14,6 +14,7 @@ from qshallow import (
     Toffoli,
     ZGate,
     build_parity_logdepth,
+    circuit_sha256,
     dense_operator,
     is_single_qubit_z_circuit,
     parse_circuit,
@@ -21,8 +22,7 @@ from qshallow import (
     serialize_circuit,
     validate,
 )
-from qshallow.randcirc import random_bounded_arity_circuit
-import qshallow.circuits as circuits
+from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
 def test_validate_clean_circuit():
@@ -225,10 +225,11 @@ def test_serialize_matches_json_dumps_on_edge_circuits():
         assert serialize_circuit(c) == json_dumps_document(c)
 
 
-def test_every_finite_gate_renders_through_its_template(monkeypatch):
-    """z, toffoli and cnot gates (empty wire lists and multi-digit wires
-    among them) and finite "u" gates never reach ``json.dumps``, and still
-    give its bytes."""
+def test_every_gate_renders_through_its_template(monkeypatch):
+    """Every gate kind (empty wire lists, multi-digit wires, and "u" gates
+    with NaN and +-Infinity entries among them) renders through its template,
+    never through ``json.dumps``, and still gives its bytes."""
+    nan, inf = float("nan"), float("inf")
     c = Circuit(
         n=12,
         a=1,
@@ -237,14 +238,19 @@ def test_every_finite_gate_renders_through_its_template(monkeypatch):
             Layer([ZGate(()), Toffoli((), 0), ZGate((12, 3, 10)), Cnot(5, 7)]),
             Layer([Toffoli((11, 1, 2), 4), SingleQubit(6, HADAMARD), ZGate((9,))]),
             Layer(),
+            Layer([
+                SingleQubit(0, [[nan, complex(0, inf)], [-inf, complex(-inf, nan)]]),
+                SingleQubit(8, [[1, complex(inf, -0.0)], [0, complex(nan, -inf)]]),
+            ]),
         ),
     )
     expected = json_dumps_document(c)
+    assert "NaN" in expected and "-Infinity" in expected
 
-    def refuse(g):
-        raise AssertionError(f"{g!r} went through json.dumps")
+    def refuse(*args, **kwargs):
+        raise AssertionError("serialize_circuit called json.dumps")
 
-    monkeypatch.setattr(circuits, "_gate_to_obj", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
     assert serialize_circuit(c) == expected
 
 
@@ -292,3 +298,47 @@ def test_validate_non_finite_entry_without_warnings(entry):
         warnings.simplefilter("error")  # no invalid-value warning from U^dag U
         violations = validate(bad)
     assert violations == [f"layer 0, gate 0: non-finite matrix entry [1][1] = {u[1, 1]}"]
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "47b8a0998b9697fa05091bc0b2a72be68ebfdf87b91a064590b6812c0dc25cb7"),
+        (2, "48e574984bc13353979d53f167a95ddd0cec987b900a459650068c38b9249a7c"),
+        (3, "1e617e9528c3f19c04c491290fbacede3647634d55ed46c9910d3253847e0dc9"),
+        (5, "325478f2f5419165a841bc13c29f9e96967b6fd873f601292d233c8831c16117"),
+        (9, "ca79cabf71399b2b5032e4e7832cc883a12a761bbded513f8e50591a64768549"),
+        (16, "aa1abaf0592b6c03d0d33af2b440e21f065f45dd71a7741a8d213c05f2485313"),
+        (100, "b58fe1b7da0dabf5746f1a16905845139f3ce918af306eb6869b9769d916f3db"),
+        (1024, "64ca942335813dae9d5af6a51e96a54072ae0193ad42d3f8fc7f83b8842f4ba0"),
+    ],
+    ids=lambda v: str(v)[:8],
+)
+def test_parity_logdepth_bytes_are_pinned(n, digest):
+    """The builder and the canonical writer together fix these hashes."""
+    assert circuit_sha256(build_parity_logdepth(n)) == digest
+
+
+Z, ARITY = random_single_qubit_z_circuit, random_bounded_arity_circuit
+
+
+@pytest.mark.parametrize(
+    "draw, digest",
+    [
+        ((Z, 6, 0, 4, 0), "0a003a66b2c9525ae46e4f6e74de2583dca9523232ff484146a1ecfc43b0e5be"),
+        ((Z, 12, 1, 6, 1), "73e5f4b0ca15da15f889e2b114abe23c80e7bab3ab75a848d3dc560e02c08059"),
+        ((Z, 20, 3, 5, 2), "ebde32d4ea9ed87fda50f600e55b46e816fef99b99f99958f898462a76a635df"),
+        ((ARITY, 6, 0, 4, 0), "a77e920af3659aabaa42cc1d0db17f1003c60a6dfa980774bde512422e52fa34"),
+        ((ARITY, 12, 1, 6, 1), "20e738b1ea0ba4eb7ce23709fd6ccdba1cd7495592a7e7753a0c51393401870b"),
+        ((ARITY, 20, 3, 5, 2, 2), "d900e9cab928b7b75823621a67032900bb016407dac72e058d11e43512d3e03b"),
+        ((ARITY, 8, 2, 4, 0, 3), "0fa5f53ba76a3f232cc45bd38ad5dc1a1deab8e36147a9bc905625902dad77d6"),
+        ((ARITY, 12, 1, 6, 2, 4), "b43297a7e7971d2f11a6894de11ab9f11333e15ba8243594430d37e79f1dedb0"),
+    ],
+    ids=lambda v: v[:8] if isinstance(v, str) else " ".join([v[0].__name__, *map(str, v[1:])]),
+)
+def test_ensemble_draw_bytes_are_pinned(draw, digest):
+    """A seeded draw (ensemble, n, a, depth, seed[, max_arity]) and the
+    canonical writer together fix these hashes."""
+    ensemble, n, a, depth, seed, *max_arity = draw
+    c = ensemble(n, a, depth, np.random.default_rng(seed), *max_arity)
+    assert circuit_sha256(c) == digest
