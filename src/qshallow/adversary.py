@@ -544,10 +544,15 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     An inconclusive verdict has no free input or ``readings``; any other is
     ``not-{against}``, with an input wire outside the witness as free input,
     and the re-simulated flip pair must read ~0, match the stored readings,
-    and give parity readings that sum to 1. The kill history is not read."""
+    and give parity readings that sum to 1. The kill history is not read.
+    A malformed witness (wires out of order, an amplitude count other than
+    2**len(wires), a norm other than 1) fails the recheck."""
     if circuit_sha256(c) != cert.circuit_sha256 or cert.against not in ("parity", "fanout"):
         return False
-    psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
+    try:
+        psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
+    except ValueError:
+        return False
     if cert.ancilla_consistency != _ancilla_consistency(psi, c):
         return False
     if cert.verdict == "inconclusive":

@@ -20,15 +20,22 @@ Toffoli touched that wire in between: the earlier layer contracts their
 product and the later layer drops the gate. This never adds a contraction,
 since the earlier layer already contracts that bit, and it removes the later
 layer's contraction when nothing else is left in its run; a chain of gates on
-one wire then costs one pass. The circuit's own gates are never changed,
-and :func:`apply_layer` compiles a single layer, so it never folds.
+one wire then costs one pass. When the later gate is bitwise the adjoint of
+the matrix held on its wire (``H H``, ``X X``, ``U U^dag``), both gates go
+instead of contracting a product that is the identity only up to rounding,
+and the wire stays open at the earlier layer. Last, each sign flip merges
+into the last one kept when every part between them acts on bits disjoint
+from its own, so the diagonal commutes back there; the +-1 signs multiply
+exactly. The circuit's own gates are never changed, and :func:`apply_layer`
+compiles a single layer, so it never folds, cancels or merges.
 
 The parts apply to a *block*: a C-ordered complex array of shape
 ``(2**w, batch)`` whose column j is one state over the w wires, so the batch
 index varies fastest in memory.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
 each part is applied through :func:`apply_gate`, the per-part hook, and each
-column's norm is checked once, after the last part. :func:`run` (a whole
+column's norm is checked once, after the last part, in one pass over the
+block's float64 view. :func:`run` (a whole
 circuit) and :func:`apply_layer` (one layer) are the :class:`PartialState`
 entry points, batch-of-1 wrappers over the kernel; loops over many states
 (basis inputs, random trials) hand it blocks of at most ``BLOCK_AMPS``
@@ -245,9 +252,11 @@ class Block:
 
 @dataclass(frozen=True)
 class SignFlip:
-    """Every Z-gate of a layer, as one +-1 diagonal over the amplitude index."""
+    """Z-gates as one +-1 diagonal over the amplitude index; ``mask`` holds
+    the bits they touch."""
 
     signs: np.ndarray
+    mask: int
 
     def apply(self, b: Block) -> None:
         b.amps *= self.signs[:, None]
@@ -256,9 +265,10 @@ class SignFlip:
 @dataclass(frozen=True)
 class Gather:
     """Every Toffoli (Cnot included) of a layer, as one permutation:
-    ``out[i] = in[index[i]]``."""
+    ``out[i] = in[index[i]]``; ``mask`` holds the bits the gates touch."""
 
     index: np.ndarray
+    mask: int
 
     def apply(self, b: Block) -> None:
         np.take(b.amps, self.index, axis=0, out=b.scratch, mode="clip")
@@ -274,6 +284,11 @@ class Contraction:
 
     position: int
     u: np.ndarray
+
+    @property
+    def mask(self) -> int:
+        """The run's bits."""
+        return (self.u.shape[0] - 1) << self.position
 
     def apply(self, b: Block) -> None:
         dim = self.u.shape[0]
@@ -336,6 +351,8 @@ def _compile_layer(
     used = 0
     flips = None
     gather = None
+    z_bits = 0
+    toffoli_bits = 0
     singles: dict[int, np.ndarray] = {}
     for g in gates:
         if not isinstance(g, (ZGate, SingleQubit, Toffoli)):
@@ -348,18 +365,20 @@ def _compile_layer(
         if isinstance(g, ZGate):
             fire = (index & support) == support
             flips = fire if flips is None else flips ^ fire
+            z_bits |= support
         elif isinstance(g, SingleQubit):
             singles[position[g.wire]] = g.u
         else:
             controls = mask(g.controls)
             step = np.where((index & controls) == controls, 1 << position[g.target], 0)
             gather = (index if gather is None else gather) ^ step
+            toffoli_bits |= support
     parts: list[Part] = []
     if flips is not None:
         # float32 holds +-1 exactly, at half the memory of float64.
-        parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32)))
+        parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32), z_bits))
     if gather is not None:
-        parts.append(Gather(gather))
+        parts.append(Gather(gather, toffoli_bits))
     return parts, singles, used
 
 
@@ -388,11 +407,36 @@ class CompiledLayers:
         b = Block(self.wires, block, np.empty_like(block))
         for part in self.parts:
             apply_gate(part, b)
-        norms = np.sqrt(_column_mass(b.amps))
+        # One pass over the float64 view: columns 2j and 2j+1 hold column
+        # j's real and imaginary parts.
+        flat = b.amps.view(np.float64)
+        sq = np.einsum("ij,ij->j", flat, flat)
+        norms = np.sqrt(sq[0::2] + sq[1::2])
         bad = np.nonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0]
         if bad.size:
             raise ValueError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
         return b.amps
+
+
+def _merge_sign_flips(parts: Iterable[Part]) -> list[Part]:
+    """Each sign flip joins the last one kept when every part between them
+    acts on bits disjoint from its own, so it commutes back onto it; the
+    merged flip stays in the first one's place and multiplies the signs,
+    which is exact for +-1."""
+    out: list[Part] = []
+    last = -1  # index in ``out`` of the last sign flip kept
+    since = 0  # the bits of the parts kept after it
+    for part in parts:
+        if isinstance(part, SignFlip):
+            if last >= 0 and not part.mask & since:
+                kept = out[last]
+                out[last] = SignFlip(kept.signs * part.signs, kept.mask | part.mask)
+                continue
+            last, since = len(out), 0
+        else:
+            since |= part.mask
+        out.append(part)
+    return out
 
 
 def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLayers:
@@ -401,29 +445,44 @@ def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLay
     A single-qubit gate folds into the previous single-qubit gate on its wire
     when no Z-gate or Toffoli touched the wire in between: the earlier layer
     applies their product, and the later layer loses the gate. That never adds
-    a contraction, as the earlier layer already contracted that bit. Gates of
-    one layer never fold together: each layer is checked, and a layer whose
-    gates share a wire refused, before any of its gates folds."""
+    a contraction, as the earlier layer already contracted that bit. When the
+    later gate is exactly the adjoint of the matrix held there, both go
+    instead, and the wire stays open at the earlier layer, where a later gate
+    on it can still fold. Gates of one layer never fold together: each layer
+    is checked, and a layer whose gates share a wire refused, before any of
+    its gates folds. Last, sign flips merge backward (:func:`_merge_sign_flips`)."""
     wires = tuple(wires)
     check_width(len(wires))
     position = {w: p for p, w in enumerate(wires)}
     index = np.arange(2 ** len(wires))
     compiled: list[tuple[list[Part], dict[int, np.ndarray]]] = []
-    # bit -> the single-qubit matrices of the layer whose gate on that bit
-    # later gates fold into (no Z-gate or Toffoli has touched the bit since)
+    # bit -> the single-qubit matrices of the layer that later gates on that
+    # bit fold into (no Z-gate or Toffoli has touched the bit since); after a
+    # cancellation that layer holds no matrix on the bit until one folds in
     open_at: dict[int, dict[int, np.ndarray]] = {}
     for layer in layers:
         parts, singles, used = _compile_layer(layer.gates, wires, position, index)
         open_at = {p: held for p, held in open_at.items() if p in singles or not used >> p & 1}
         for p in list(singles):
-            if p in open_at:
-                open_at[p][p] = singles.pop(p) @ open_at[p][p]
-            else:
+            held = open_at.get(p)
+            if held is None:
                 open_at[p] = singles
+                continue
+            u = singles.pop(p)
+            if p not in held:
+                held[p] = u
+            elif np.array_equal(u, held[p].conj().T):
+                del held[p]
+            else:
+                held[p] = u @ held[p]
         compiled.append((parts, singles))
     return CompiledLayers(
         wires,
-        tuple(part for parts, singles in compiled for part in parts + _fused_contractions(singles)),
+        tuple(
+            _merge_sign_flips(
+                part for parts, singles in compiled for part in parts + _fused_contractions(singles)
+            )
+        ),
     )
 
 

@@ -739,6 +739,24 @@ def test_recheck_rejects_edited_claims(shape, edit):
     assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cert: {"psi_wires": cert.psi_wires[::-1]},
+        lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)},
+        lambda cert: {"psi_amps": cert.psi_amps + (0j,)},
+    ],
+    ids=["wires-out-of-order", "norm-2", "one-amplitude-too-many"],
+)
+def test_recheck_rejects_a_malformed_witness(edit):
+    """A witness that is not a unit state over ascending wires fails the
+    recheck instead of raising."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    cert = parity_certificate(c, "improved")
+    assert len(cert.psi_wires) > 1 and recheck_certificate(cert, c)
+    assert not recheck_certificate(dataclasses.replace(cert, **edit(cert)), c)
+
+
 def test_small_committed_set_guarantees_free_input():
     # (a+1) * 2^ceil(d/2) = 4 < 12: a free input always remains.
     rng = np.random.default_rng(0)

@@ -300,6 +300,54 @@ def test_validate_non_finite_entry_without_warnings(entry):
     assert violations == [f"layer 0, gate 0: non-finite matrix entry [1][1] = {u[1, 1]}"]
 
 
+def test_validate_checks_every_matrix_in_gate_order():
+    """The stacked unitarity check reports, gate by gate in layer order, what
+    a per-gate check of U^dag U reports, among the other violations."""
+    rng = np.random.default_rng(3)
+    skewed = [HADAMARD * (1 + 10.0**-e) for e in range(2, 12, 2)]
+    layers = (
+        Layer([SingleQubit(0, skewed[0]), SingleQubit(1, HADAMARD), SingleQubit(9, skewed[1])]),
+        Layer([ZGate((0, 1)), SingleQubit(2, np.array([[1, 0], [0, np.nan]]))]),
+        Layer([SingleQubit(0, skewed[2]), Cnot(1, 1), SingleQubit(2, skewed[3])]),
+        Layer([SingleQubit(w, rng.standard_normal((2, 2))) for w in range(3)]),
+        Layer([SingleQubit(1, skewed[4])]),
+    )
+    c = Circuit(n=3, a=0, target=0, layers=layers)
+    expected = []
+    for i, layer in enumerate(layers):
+        for j, g in enumerate(layer.gates):
+            where = f"layer {i}, gate {j}"
+            if isinstance(g, Cnot):
+                expected.append(f"{where}: cnot control equals target (1)")
+            if not isinstance(g, SingleQubit):
+                continue
+            if g.wire > 2:
+                expected.append(f"{where}: wire index {g.wire} out of range (circuit has 3 wires)")
+            if not np.isfinite(g.u).all():
+                expected.append(f"{where}: non-finite matrix entry [1][1] = {g.u[1, 1]}")
+                continue
+            dev = float(np.abs(g.u.conj().T @ g.u - np.eye(2)).max())
+            if dev > 1e-10:
+                expected.append(f"{where}: non-unitary matrix (max |U^dag U - I| = {dev:.3e})")
+    assert validate(c) == expected
+    assert len(expected) == 11
+
+
+@pytest.mark.parametrize(
+    "u, shown",
+    [([[1e200, 0], [0, 1]], "inf"), ([[1e200 + 1e200j, 1e200 - 1e200j], [1, 1]], "nan")],
+    ids=["inf", "nan"],
+)
+def test_validate_refuses_a_finite_matrix_whose_check_overflows(u, shown):
+    """U^dag U of a finite matrix can overflow to inf, or to NaN through
+    inf - inf; either fails the unitarity check, without a warning."""
+    bad = Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, np.array(u))]),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = validate(bad)
+    assert violations == [f"layer 0, gate 0: non-unitary matrix (max |U^dag U - I| = {shown})"]
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [

@@ -1,5 +1,7 @@
 import gc
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,8 @@ import pytest
 from qshallow import serialize_circuit
 from qshallow.cli import main
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -159,8 +163,11 @@ def test_missing_file_exits_2():
 
 
 def test_build_verify_pipeline_subprocess():
+    # pytest's pythonpath setting does not reach child processes.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     build = subprocess.run(
         [sys.executable, "-m", "qshallow", "build", "parity-logdepth", "--n", "4"],
+        env=env,
         capture_output=True,
         text=True,
     )
@@ -168,6 +175,7 @@ def test_build_verify_pipeline_subprocess():
     verify = subprocess.run(
         [sys.executable, "-m", "qshallow", "verify", "--circuit", "-", "--against", "parity"],
         input=build.stdout,
+        env=env,
         capture_output=True,
         text=True,
     )

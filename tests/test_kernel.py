@@ -2,6 +2,7 @@
 reference built here, layer by layer, from np.kron and permutation matrices."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from qshallow import (
     Toffoli,
     ZGate,
     apply_layer,
+    build_parity_logdepth,
     circuit_sha256,
+    conjugate_parity_to_fanout,
     kill_run,
     rewrite_toffoli_to_z,
     run,
@@ -461,6 +464,210 @@ def test_compiling_leaves_the_circuit_gate_matrices_unchanged():
     assert len(contraction_spans(compiled)) < layer_by_layer_contractions(c.layers, range(6))
     for g, u in zip(singles, before):
         assert np.array_equal(g.u, u)
+
+
+# -- exact inverse pairs and merged sign flips ---------------------------------
+
+
+def inverse_pair_circuit(width, depth, rng):
+    """Layers that put H H, X X and U U^dag back to back on wires, with
+    Z-gates (and a few Toffolis) on other wires in between, so pairs cancel
+    across layers and sign flips commute back past contractions. Returns the
+    circuit and how many gates are the exact adjoint of the single-qubit gate
+    before them on their wire, with no Z-gate or Toffoli on it in between."""
+    last = {}  # wire -> its last single-qubit matrix, while nothing else touched it
+    pairs = 0
+    layers = []
+    for _ in range(depth):
+        order = [int(w) for w in rng.permutation(width)]
+        gates = []
+        while order:
+            size = 1 if rng.random() < 0.7 else min(int(rng.integers(2, 4)), len(order))
+            group, order = order[:size], order[size:]
+            if size > 1:
+                if rng.random() < 0.8:
+                    gates.append(ZGate(tuple(group)))
+                else:
+                    gates.append(Toffoli(tuple(group[1:]), group[0]))
+                for w in group:
+                    last.pop(w, None)
+                continue
+            w = group[0]
+            pick = int(rng.integers(0, 6))
+            if pick == 0:
+                continue
+            if pick < 3 and w in last:
+                u = last[w].conj().T
+                pairs += 1
+            else:
+                u = (HADAMARD, PAULI_X, random_unitary(rng))[pick % 3]
+            gates.append(SingleQubit(w, u))
+            last[w] = u
+        layers.append(Layer(gates))
+    return Circuit(n=width, a=0, target=width - 1, layers=tuple(layers)), pairs
+
+
+def test_inverse_pairs_and_merged_flips_match_dense_reference():
+    """Every slice of seeded circuits rich in exact inverse pairs and Z-gates,
+    over a shuffled wire order, against the dense reference; some slices
+    apply fewer sign flips than they have layers with Z-gates."""
+    pairs = merged = 0
+    for seed in range(12):
+        rng = np.random.default_rng(1000 + seed)
+        width = int(rng.integers(3, 9))
+        c, seeded = inverse_pair_circuit(width, 6, rng)
+        pairs += seeded
+        wires = tuple(int(w) for w in rng.permutation(width))
+        block = random_columns(rng, width, 3)
+        for lo in range(c.depth()):
+            for hi in range(lo, c.depth()):
+                compiled = compile_layers(c.layers[lo : hi + 1], wires)
+                expect = slice_matrix(c, wires, lo, hi) @ block
+                assert np.abs(compiled.apply(block.copy()) - expect).max() <= TOL
+                flips = sum(isinstance(p, SignFlip) for p in compiled.parts)
+                z_layers = sum(
+                    any(isinstance(g, ZGate) for g in c.layers[i].gates) for i in range(lo, hi + 1)
+                )
+                merged += flips < z_layers
+    assert pairs > 20 and merged > 20
+
+
+def test_exact_inverse_pair_cancels_and_the_wire_stays_open():
+    """H H on wire 1 across a Z-gate on other wires leaves nothing; the U
+    after them lands, unmultiplied, in the first H's layer."""
+    rng = np.random.default_rng(14)
+    u = random_unitary(rng)
+    layers = (
+        Layer([SingleQubit(1, HADAMARD)]),
+        Layer([ZGate((0, 2))]),
+        Layer([SingleQubit(1, HADAMARD)]),
+        Layer([SingleQubit(1, u)]),
+    )
+    parts = compile_layers(layers, range(3)).parts
+    assert [type(p) for p in parts] == [Contraction, SignFlip]
+    assert parts[0].position == 1 and np.array_equal(parts[0].u, u)
+    (flip,) = compile_layers(layers[:3], range(3)).parts
+    assert isinstance(flip, SignFlip) and flip.mask == 0b101
+
+
+@pytest.mark.parametrize(
+    "second, cancels",
+    [
+        (lambda u: u.conj().T, True),
+        (lambda u: np.linalg.inv(u), False),  # U^-1 = U^dag only up to rounding
+        (lambda u: u.conj().T * (1 + 2**-52), False),
+    ],
+    ids=["adjoint", "inverse", "adjoint-off-by-an-ulp"],
+)
+def test_only_a_bitwise_adjoint_cancels(second, cancels):
+    rng = np.random.default_rng(15)
+    u = random_unitary(rng)
+    v = second(u)
+    assert np.abs(v @ u - np.eye(2)).max() <= TOL
+    assert cancels or not np.array_equal(v, u.conj().T)
+    layers = (Layer([SingleQubit(0, u)]), Layer([SingleQubit(0, v)]))
+    parts = compile_layers(layers, range(1)).parts
+    if cancels:
+        assert parts == ()
+    else:
+        assert len(parts) == 1 and np.array_equal(parts[0].u, v @ u)
+
+
+@pytest.mark.parametrize(
+    "between, merges",
+    [
+        (SingleQubit(2, HADAMARD), True),
+        (Cnot(2, 4), True),
+        (SingleQubit(1, HADAMARD), False),
+        (Cnot(4, 3), False),
+        (Toffoli((3, 4), 2), False),
+    ],
+    ids=["disjoint-single", "disjoint-cnot", "shared-single", "shared-cnot", "shared-control"],
+)
+def test_sign_flip_merges_back_past_disjoint_parts_only(between, merges):
+    """Z(0, 1), then ``between``, then Z(1, 3): the second flip joins the
+    first, in its place, exactly when ``between`` leaves bits 1 and 3 alone."""
+    layers = (Layer([ZGate((0, 1))]), Layer([between]), Layer([ZGate((1, 3))]))
+    wires = tuple(range(5))
+    parts = compile_layers(layers, wires).parts
+    expect_types = [SignFlip, type(compile_layers(layers[1:2], wires).parts[0])]
+    first, second = (compile_layers((layer,), wires).parts[0] for layer in layers[::2])
+    if merges:
+        assert [type(p) for p in parts] == expect_types
+        assert np.array_equal(parts[0].signs, first.signs * second.signs)
+        assert parts[0].mask == 0b1011
+    else:
+        assert [type(p) for p in parts] == expect_types + [SignFlip]
+        assert np.array_equal(parts[0].signs, first.signs)
+        assert np.array_equal(parts[2].signs, second.signs)
+    c = Circuit(n=5, a=0, target=4, layers=layers)
+    block = random_columns(np.random.default_rng(16), 5, 2)
+    out = compile_layers(layers, wires).apply(block.copy())
+    assert np.abs(out - slice_matrix(c, wires) @ block).max() <= TOL
+
+
+def test_a_flip_that_cannot_merge_starts_the_next_merge():
+    """The third flip cannot pass the H on bit 1 to reach the first, but
+    joins the second, which the H does not separate from it."""
+    layers = (
+        Layer([ZGate((0, 1))]),
+        Layer([SingleQubit(1, HADAMARD)]),
+        Layer([ZGate((1, 2))]),
+        Layer([SingleQubit(0, HADAMARD)]),
+        Layer([ZGate((2, 3))]),
+    )
+    parts = compile_layers(layers, range(4)).parts
+    assert [type(p) for p in parts] == [SignFlip, Contraction, SignFlip, Contraction]
+    assert [parts[0].mask, parts[2].mask] == [0b0011, 0b1110]
+
+
+@pytest.mark.parametrize("against, contractions", [("parity", 15), ("fanout", 13)])
+def test_rewritten_log_depth_circuits_compile_to_fewer_contractions(against, contractions):
+    """At n=9 the H-Z-H rewrite puts H H between consecutive Toffoli layers:
+    the fold used to contract each such pair into a near-identity 2x2, 18
+    contractions for parity and 20 for its fanout conjugate; now no compiled
+    contraction is the identity up to rounding."""
+    c = build_parity_logdepth(9)
+    if against == "fanout":
+        c = conjugate_parity_to_fanout(c)
+    c = rewrite_toffoli_to_z(c)
+    compiled = compile_layers(c.layers, range(c.wires))
+    found = [p for p in compiled.parts if isinstance(p, Contraction)]
+    assert len(found) == contractions
+    assert all(np.abs(p.u - np.eye(len(p.u))).max() > 1e-12 for p in found)
+
+
+def single_layer_parts_digest(kind):
+    """sha256 over every part of every layer compiled alone, for seeded
+    draws of one ensemble over shuffled wire orders."""
+    h = hashlib.sha256()
+    for seed in range(6):
+        c, rng = ensemble(kind, 900 + seed, depth=4)
+        if kind == "toffoli":
+            c = rewrite_toffoli_to_z(c)
+        wires = tuple(int(w) for w in rng.permutation(c.wires))
+        for layer in c.layers:
+            for p in compile_layers((layer,), wires).parts:
+                h.update(type(p).__name__.encode())
+                for name in ("signs", "index", "position", "u"):
+                    if hasattr(p, name):
+                        h.update(np.asarray(getattr(p, name)).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("z", "bb4ff80c32e86ff6782a7a29ecf5aacb10ee0e909b92dbada8af061f27758172"),
+        ("bounded", "f2e5704b9644b8dcad74a78cb68fecf6b30ddb9b730da020e1d78819b623c1d2"),
+        ("toffoli", "9468e6f0b366c05e05a4abde3956fae9b74c2a6a788c7573c19b669e9e6b276e"),
+        ("single", "209800c5b46013f6c738b57cf9da024a568cc47f724161a8c4a4cb56a079bd42"),
+    ],
+)
+def test_a_single_layer_compiles_to_the_same_parts(kind, digest):
+    """One layer has nothing to cancel or merge: its parts hash to the bytes
+    recorded before pairs cancelled and flips merged."""
+    assert single_layer_parts_digest(kind) == digest
 
 
 # -- batching ------------------------------------------------------------------
