@@ -55,6 +55,7 @@ from .sim import (
     block_columns,
     column_probabilities,
     compile_layers,
+    random_amps,
     read_target,
     run,
     tensor_indices,
@@ -324,20 +325,12 @@ def verify_kill(
         columns = min(step, count - first)
         rest = np.zeros((2 ** len(s.rest), columns), dtype=complex)
         # Column 0 of the first block is the all-zeros rest state; with no
-        # rest wires, every column is the scalar 1. The others are drawn in
-        # one call, row by row as random_amps draws them, and made complex one
-        # row at a time, so no block-sized temporary is built.
+        # rest wires, every column is the scalar 1.
         drawn = columns - (first == 0) if s.rest else 0
-        raw = rng.standard_normal((drawn, 2, len(rest)))
-        for j, (re, im) in enumerate(raw, start=columns - drawn):
-            amps = re + 1j * im
-            rest[:, j] = amps / np.linalg.norm(amps)
         rest[0, : columns - drawn] = 1.0
-        # Column j is (rest column j) tensor the witness. One name holds the
-        # block throughout, so the buffer apply swaps out is freed at once.
-        out_killed = rest[own]
-        out_killed *= witness
-        out_killed = shared.apply(out_killed)
+        for j in range(columns - drawn, columns):
+            rest[:, j] = random_amps(len(s.rest), rng)
+        out_killed = shared.apply(rest[own] * witness)
         if not s.killed:  # both tails are empty: the block is both outputs
             p1 = column_probabilities(out_killed, target).tolist()
             readings.extend(zip(p1, p1))
@@ -346,10 +339,8 @@ def verify_kill(
         out_killed = stripped.apply(out_killed)
         p_full = column_probabilities(out_full, target)
         p_killed = column_probabilities(out_killed, target)
-        out_killed -= out_full
-        diff = np.abs(out_killed).max(axis=0)
         readings.extend(zip(p_full.tolist(), p_killed.tolist()))
-        max_diff = max(max_diff, float(diff.max()))
+        max_diff = max(max_diff, float(np.abs(out_killed - out_full).max()))
     max_p1 = max(max(pair) for pair in readings)
     ok = max_p1 <= READING_TOL and max_diff <= STATE_TOL
     return VerifyKillResult(
@@ -446,15 +437,13 @@ def parity_certificate(
     """Run the construction and package the verdict. For ``against='fanout'``
     the circuit is first conjugated by Hadamard layers, and the parity
     verdict on the conjugate certifies the fanout verdict on the input."""
-    analyzed = analyzed_circuit(c, against)
-    return package_certificate(c, analyzed, kill_run(analyzed, mode), against)
+    return package_certificate(c, kill_run(analyzed_circuit(c, against), mode), against)
 
 
-def package_certificate(
-    c: Circuit, analyzed: Circuit, s: KillState, against: OpKind
-) -> KillCertificate:
+def package_certificate(c: Circuit, s: KillState, against: OpKind) -> KillCertificate:
     """Package a finished construction ``s`` on ``analyzed_circuit(c,
     against)``: pick the first free input and replay its flip pair."""
+    analyzed = analyzed_circuit(c, against)
     free_inputs = [w for w in s.rest if w < analyzed.n]
     free_input = free_inputs[0] if free_inputs else None
     readings = reference_readings = None
@@ -506,36 +495,43 @@ def certificate_to_json(cert: KillCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> KillCertificate:
+    """Parse a certificate document. One that is not a JSON object of the
+    shape :func:`certificate_to_json` writes raises ``ValueError``."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("malformed kill certificate: not a JSON object")
     if obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
-    history = tuple(
-        KillHistoryEntry(
-            k=e["k"],
-            committed=tuple(e["committed"]),
-            fresh=tuple(e["fresh"]),
-            killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
+    try:
+        history = tuple(
+            KillHistoryEntry(
+                k=e["k"],
+                committed=tuple(e["committed"]),
+                fresh=tuple(e["fresh"]),
+                killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
+            )
+            for e in obj["history"]
         )
-        for e in obj["history"]
-    )
-    return KillCertificate(
-        version=obj["version"],
-        circuit_sha256=obj["circuit_sha256"],
-        against=obj["against"],
-        mode=obj["mode"],
-        history=history,
-        psi_wires=tuple(obj["witness"]["wires"]),
-        psi_amps=tuple(complex(re, im) for re, im in obj["witness"]["amps"]),
-        free_input=obj["free_input"],
-        readings=tuple(obj["readings"]) if obj["readings"] is not None else None,
-        reference_readings=(
-            tuple(obj["reference_readings"])
-            if obj["reference_readings"] is not None
-            else None
-        ),
-        ancilla_consistency=obj["ancilla_consistency"],
-        verdict=obj["verdict"],
-    )
+        return KillCertificate(
+            version=obj["version"],
+            circuit_sha256=obj["circuit_sha256"],
+            against=obj["against"],
+            mode=obj["mode"],
+            history=history,
+            psi_wires=tuple(obj["witness"]["wires"]),
+            psi_amps=tuple(complex(re, im) for re, im in obj["witness"]["amps"]),
+            free_input=obj["free_input"],
+            readings=tuple(obj["readings"]) if obj["readings"] is not None else None,
+            reference_readings=(
+                tuple(obj["reference_readings"])
+                if obj["reference_readings"] is not None
+                else None
+            ),
+            ancilla_consistency=obj["ancilla_consistency"],
+            verdict=obj["verdict"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed kill certificate: {exc!r}") from exc
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:

@@ -141,7 +141,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         c = rewrite_toffoli_to_z(c)
     analyzed = analyzed_circuit(c, args.against)
     state = kill_run(analyzed, args.mode)
-    cert = package_certificate(c, analyzed, state, args.against)
+    cert = package_certificate(c, state, args.against)
     if args.selfcheck:
         check = verify_kill(analyzed, state, trials=args.trials, seed=args.seed)
         print(

@@ -19,7 +19,7 @@ from typing import Literal
 import numpy as np
 
 from .circuits import HADAMARD, Circuit, Cnot, Layer, SingleQubit
-from .sim import PartialState, bit_table
+from .sim import PartialState, index_map
 
 OpKind = Literal["parity", "fanout"]
 
@@ -58,23 +58,14 @@ class ReferenceOp:
         return index ^ (b_bit * ((1 << self.n) - 1))
 
 
-def _op_index(wires: tuple[int, ...], op_wires: tuple[int, ...]) -> np.ndarray:
-    """For every amplitude index over ``wires`` (bit p carries ``wires[p]``),
-    the op's basis index: bit i carries the bit of wire ``op_wires[i]``."""
-    weights = [0] * len(wires)
-    for i, w in enumerate(op_wires):
-        weights[wires.index(w)] = 1 << i
-    return bit_table(weights)
-
-
 def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
     """Apply the operator's basis permutation, extended linearly. The state
     must cover all n+1 wires of the op (it may cover more)."""
     missing = [w for w in op.wires if w not in s.wires]
     if missing:
         raise ValueError(f"state over {s.wires} does not cover op wires {missing}")
-    local = _op_index(s.wires, op.wires)
-    to_state = bit_table([1 << s.position(w) for w in op.wires])
+    local = index_map(s.wires, op.wires)
+    to_state = index_map(op.wires, s.wires)
     out = np.empty_like(s.amps)
     out[np.arange(s.amps.size) ^ to_state[local ^ op.basis_map(local)]] = s.amps
     return PartialState(s.wires, out)
@@ -89,7 +80,7 @@ def parity_mask(wires: tuple[int, ...], measured: int, n: int) -> np.ndarray:
     # The op sums the counted wires into its b bit, left at 0; with no wire
     # counted, one padding bit (always 0) keeps its arity at least 1.
     op = ReferenceOp("parity", max(len(counted), 1))
-    return (op.basis_map(_op_index(wires, counted)) >> op.n) & 1 == 1
+    return (op.basis_map(index_map(wires, counted)) >> op.n) & 1 == 1
 
 
 def reference_dense(op: ReferenceOp) -> np.ndarray:

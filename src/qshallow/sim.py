@@ -6,7 +6,8 @@ wires, so sub-circuits can be simulated on exactly the wires they touch.
 Amplitude indexing convention: the wire set is kept sorted ascending and bit
 ``p`` of the amplitude index (value ``2**p``) carries the p-th smallest wire.
 So for wires (2, 5, 9), index 0b011 is the basis state with wires 2 and 5 set
-to 1 and wire 9 set to 0.
+to 1 and wire 9 set to 0. :func:`index_map` is the one place that turns two
+wire orderings into an index table between them.
 
 There is one simulation core. :func:`compile_layers` compiles a slice of
 layers once, for one wire ordering, into parts: each layer becomes a +-1
@@ -96,6 +97,13 @@ def bit_table(weights: Sequence[int]) -> np.ndarray:
     return table
 
 
+def index_map(wires: Sequence[int], sub: Sequence[int]) -> np.ndarray:
+    """For every amplitude index over ``wires`` (bit p carries ``wires[p]``),
+    the index over ``sub`` that reads the same bits: bit i carries ``sub[i]``,
+    and a wire of ``sub`` outside ``wires`` reads 0."""
+    return bit_table([1 << sub.index(w) if w in sub else 0 for w in wires])
+
+
 def tensor_indices(
     first: tuple[int, ...], second: tuple[int, ...]
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -105,10 +113,7 @@ def tensor_indices(
     if overlap:
         raise ValueError(f"tensor factors share wires {sorted(overlap)}")
     merged = tuple(sorted(first + second))
-    check_width(len(merged))
-    own = bit_table([1 << first.index(w) if w in first else 0 for w in merged])
-    theirs = bit_table([1 << second.index(w) if w in second else 0 for w in merged])
-    return merged, own, theirs
+    return merged, index_map(merged, first), index_map(merged, second)
 
 
 def _column_mass(x: np.ndarray) -> np.ndarray:

@@ -152,6 +152,8 @@ def sensitivity_scan(c: Circuit, m: MeasurementSpec) -> tuple[int, ...]:
     |1>-probability by more than ``READING_TOL``. Limited to n + a <= 10."""
     if c.wires > DENSE_CHECK_MAX_WIRES:
         raise ValueError(f"sensitivity scan limited to n + a <= {DENSE_CHECK_MAX_WIRES}")
+    if not 0 <= m.wire < c.wires:
+        raise ValueError(f"measured wire {m.wire} out of range")
     xs = np.arange(2**c.n)
     p1 = np.empty(xs.size)
     for first, out in run_basis(c, xs):

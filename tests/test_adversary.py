@@ -676,6 +676,27 @@ def test_certificate_json_roundtrip_byte_exact():
         assert certificate_to_json(certificate_from_json(text)) == text
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: [obj],
+        lambda obj: {k: v for k, v in obj.items() if k != "history"},
+        lambda obj: {k: v for k, v in obj.items() if k != "witness"},
+        lambda obj: {**obj, "history": 5},
+        lambda obj: {**obj, "readings": 0.0},
+        lambda obj: {**obj, "witness": {**obj["witness"], "amps": [[1.0]]}},
+    ],
+    ids=["array", "no-history", "no-witness", "history-int", "scalar-readings", "amp-1-value"],
+)
+def test_certificate_from_json_refuses_a_malformed_document(edit):
+    """A certificate is read from outside the program: a document of the
+    wrong shape is refused with ``ValueError``, not a crash of another type."""
+    c = random_single_qubit_z_circuit(10, 0, 3, np.random.default_rng(4))
+    obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
+    with pytest.raises(ValueError, match="^malformed kill certificate: "):
+        certificate_from_json(json.dumps(edit(obj)))
+
+
 def test_recheck_rejects_wrong_circuit():
     rng = np.random.default_rng(11)
     c1 = random_single_qubit_z_circuit(10, 0, 3, rng)
@@ -718,23 +739,54 @@ def test_recheck_rejects_nan_readings(edit):
     assert not recheck_certificate(edited, c)
 
 
+def _reference_moved(first, second):
+    return lambda cert: {
+        "reference_readings": (
+            cert.reference_readings[0] + first,
+            cert.reference_readings[1] + second,
+        )
+    }
+
+
 @pytest.mark.parametrize(
     "shape, edit",
     [
-        ((12, 0, 4), {"verdict": "banana"}),
-        ((12, 0, 4), {"verdict": "not-fanout"}),
-        ((12, 0, 4), {"against": "banana", "verdict": "not-banana"}),
-        ((6, 2, 3), {"ancilla_consistency": True}),
+        ((12, 0, 4), lambda cert: {"verdict": "banana"}),
+        ((12, 0, 4), lambda cert: {"verdict": "not-fanout"}),
+        ((12, 0, 4), lambda cert: {"against": "banana", "verdict": "not-banana"}),
+        ((6, 2, 3), lambda cert: {"ancilla_consistency": True}),
+        ((12, 0, 4), lambda cert: {"free_input": None}),
+        ((12, 0, 4), lambda cert: {"readings": None}),
+        ((12, 0, 4), lambda cert: {"readings": (0.5, cert.readings[1])}),
+        ((12, 0, 4), _reference_moved(1e-3, -1e-3)),
+        ((12, 0, 4), _reference_moved(-1e-3, 1e-3)),
+        ((12, 0, 4), _reference_moved(0.9 * sim.READING_TOL, 0.9 * sim.READING_TOL)),
     ],
-    ids=["verdict", "verdict-against-mismatch", "against", "ancilla-consistency"],
+    ids=[
+        "verdict",
+        "verdict-against-mismatch",
+        "against",
+        "ancilla-consistency",
+        "no-free-input",
+        "no-readings",
+        "reading-edited",
+        "reference-moved-up",
+        "reference-moved-down",
+        "reference-sum-above-1",
+    ],
 )
 def test_recheck_rejects_edited_claims(shape, edit):
     """The verdict must be not-{against} for an against of parity or fanout,
     and the ancilla flag must be the one the witness gives. The n=6, a=2
-    certificate's witness excites an ancilla, so its flag is false."""
+    certificate's witness excites an ancilla, so its flag is false. A
+    not-parity verdict needs a free input and stored readings; each stored
+    reading must match the recomputed one within ``READING_TOL``, and the
+    reference readings must sum to 1, which two readings each raised by
+    less than the tolerance do not."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
+    edit = edit(cert)
     assert all(getattr(cert, field) != value for field, value in edit.items())
     assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,45 @@ def test_parse_out_of_range_wire():
     doc = '{"n": 2, "ancillae": 0, "target": 0, "layers": [[{"kind": "z", "wires": [4]}]]}'
     with pytest.raises(CircuitFormatError, match="out of range"):
         parse_circuit(doc)
+
+
+def _doc(**fields):
+    return {"n": 2, "ancillae": 0, "target": 1, "layers": [], **fields}
+
+
+def _gate(gate):
+    return _doc(layers=[[gate]])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "circuit document must be a JSON object"),
+        ({"ancillae": 0, "target": 1, "layers": []}, "circuit: missing field 'n'"),
+        (_gate({"wires": [0]}), "layer 0, gate 0: missing field 'kind'"),
+        (_doc(n="2"), "circuit: 'n' must be an integer"),
+        (_doc(target=True), "circuit: 'target' must be an integer"),
+        (_doc(layers={}), "circuit: 'layers' must be a list"),
+        (_doc(layers=[5]), "layer 0: must be a list of gates"),
+        (_doc(layers=[[5]]), "layer 0, gate 0: gate must be an object, got int"),
+        (_gate({"kind": "z", "wires": [0.0]}), "wire index must be an integer, got 0.0"),
+        (_gate({"kind": "u", "wire": 0, "matrix": 5}), "layer 0, gate 0: bad matrix encoding"),
+        (
+            _gate({"kind": "u", "wire": 0, "matrix": [[[1, 0]], [[0, 0]]]}),
+            "layer 0, gate 0: matrix must be 2x2, got (2, 1)",
+        ),
+        (_gate({"kind": "z", "wires": 0}), "layer 0, gate 0: 'wires' must be a list"),
+        (
+            _gate({"kind": "toffoli", "controls": 0, "target": 1}),
+            "layer 0, gate 0: 'controls' must be a list",
+        ),
+        (_gate({"kind": "z", "wires": [0, 0]}), "layer 0, gate 0: duplicate wires in z-gate"),
+        (_doc(n=-1, target=0), "negative wire counts (n=-1, a=0)"),
+    ],
+)
+def test_parse_refuses_each_malformed_document(doc, message):
+    with pytest.raises(CircuitFormatError, match=re.escape(message)):
+        parse_circuit(json.dumps(doc))
 
 
 def test_roundtrip_parity_construction():

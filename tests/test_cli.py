@@ -158,6 +158,15 @@ def test_rewrite_conjugate_fanout(tmp_path):
     assert main(["verify", "--circuit", str(f4), "--against", "fanout"]) == 0
 
 
+def test_build_fanout_via_parity_verifies_as_fanout_only(tmp_path, capsys):
+    f4 = tmp_path / "f4.json"
+    assert main(["build", "fanout-via-parity", "--n", "4", "--out", str(f4)]) == 0
+    assert main(["verify", "--circuit", str(f4), "--against", "fanout"]) == 0
+    assert "clean computation confirmed" in capsys.readouterr().out
+    assert main(["verify", "--circuit", str(f4), "--against", "parity"]) == 1
+    assert "NOT a clean parity computation" in capsys.readouterr().out
+
+
 def test_missing_file_exits_2():
     assert main(["verify", "--circuit", "/nonexistent.json", "--against", "parity"]) == 2
 

@@ -142,6 +142,13 @@ def test_sensitivity_scan_guard():
         sensitivity_scan(c, MeasurementSpec(0))
 
 
+@pytest.mark.parametrize("wire", [99, -1])
+def test_sensitivity_scan_refuses_a_measured_wire_outside_the_circuit(wire):
+    c = build_parity_logdepth(7)  # 8 wires
+    with pytest.raises(ValueError, match=f"^measured wire {wire} out of range$"):
+        sensitivity_scan(c, MeasurementSpec(wire))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_sensitivity_contained_in_lightcone(seed):
     rng = np.random.default_rng(seed)
