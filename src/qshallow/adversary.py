@@ -494,14 +494,31 @@ def certificate_to_json(cert: KillCertificate) -> str:
     return json.dumps(obj, indent=1)
 
 
+def _reading_pair(value: object) -> bool:
+    """Whether a stored ``readings`` or ``reference_readings`` value is two
+    numbers (a bool is not one)."""
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
+
+
 def certificate_from_json(text: str) -> KillCertificate:
     """Parse a certificate document. One that is not a JSON object of the
-    shape :func:`certificate_to_json` writes raises ``ValueError``."""
+    shape :func:`certificate_to_json` writes raises ``ValueError``; so do
+    ``readings`` or ``reference_readings`` other than null or two numbers.
+    A non-finite reading parses, and fails :func:`recheck_certificate`."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("malformed kill certificate: not a JSON object")
     if obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
+    for field in ("readings", "reference_readings"):
+        if field in obj and obj[field] is not None and not _reading_pair(obj[field]):
+            raise ValueError(
+                f"malformed kill certificate: {field} must be two numbers, got {obj[field]!r}"
+            )
     try:
         history = tuple(
             KillHistoryEntry(
@@ -541,13 +558,17 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     ``not-{against}``, with an input wire outside the witness as free input,
     and the re-simulated flip pair must read ~0, match the stored readings,
     and give parity readings that sum to 1. The kill history is not read.
-    A malformed witness (wires out of order, an amplitude count other than
-    2**len(wires), a norm other than 1) fails the recheck."""
+    A malformed witness (wires out of order or not ints in ``range(c.wires)``,
+    an amplitude count other than 2**len(wires), a norm other than 1), or
+    stored readings other than two numbers each, fail the recheck."""
     if circuit_sha256(c) != cert.circuit_sha256 or cert.against not in ("parity", "fanout"):
         return False
     try:
         psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
     except ValueError:
+        return False
+    # The analyzed circuit has the same wires as c.
+    if not all(isinstance(w, int) and w in range(c.wires) for w in psi.wires):
         return False
     if cert.ancilla_consistency != _ancilla_consistency(psi, c):
         return False
@@ -555,12 +576,16 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
         return cert.free_input is None and cert.readings is None
     if cert.verdict != f"not-{cert.against}":
         return False
-    if cert.free_input is None or cert.readings is None or cert.reference_readings is None:
+    if not (_reading_pair(cert.readings) and _reading_pair(cert.reference_readings)):
         return False
     analyzed = analyzed_circuit(c, cert.against)
-    if cert.free_input not in range(analyzed.n) or cert.free_input in psi.wires:
+    if (
+        not isinstance(cert.free_input, int)
+        or cert.free_input not in range(analyzed.n)
+        or cert.free_input in psi.wires
+    ):
         return False
-    if not all(map(math.isfinite, cert.readings + cert.reference_readings)):
+    if not all(map(math.isfinite, (*cert.readings, *cert.reference_readings))):
         return False
     pair, reference = flip_pair(analyzed, MeasurementSpec(analyzed.target), psi, cert.free_input)
     # Each check is written so that a NaN anywhere fails it.

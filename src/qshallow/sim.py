@@ -30,9 +30,15 @@ from its own, so the diagonal commutes back there; the +-1 signs multiply
 exactly. The circuit's own gates are never changed, and :func:`apply_layer`
 compiles a single layer, so it never folds, cancels or merges.
 
-The parts apply to a *block*: a C-ordered complex array of shape
-``(2**w, batch)`` whose column j is one state over the w wires, so the batch
-index varies fastest in memory.
+The parts apply to a *block*: a C-ordered array of shape ``(2**w, batch)``
+whose column j is one state over the w wires, so the batch index varies
+fastest in memory. A block is complex, or float64 when the compiled slice is
+real: no contraction has a non-zero imaginary part (sign flips and gathers
+always are real). :func:`run_basis` hands real slices float64 blocks, so
+basis-input loops over circuits of Toffolis, Z-gates, H and X run in real
+arithmetic throughout. On a complex block, a real matrix still contracts in
+real arithmetic, against the block's float64 view, wherever the contraction
+runs as a stacked matmul; the small kron-gemm case stays complex there.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
 each part is applied through :func:`apply_gate`, the per-part hook, and each
 column's norm is checked once, after the last part, in one pass over the
@@ -53,6 +59,7 @@ and two gates of one layer on a shared wire raise ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -121,7 +128,10 @@ def _column_mass(x: np.ndarray) -> np.ndarray:
     temporary array of the input's size."""
     axes = "ijklm"[: x.ndim - 1] + "b"
     spec = f"{axes},{axes}->b"
-    return np.einsum(spec, x.real, x.real) + np.einsum(spec, x.imag, x.imag)
+    mass = np.einsum(spec, x.real, x.real)
+    if np.iscomplexobj(x):
+        mass += np.einsum(spec, x.imag, x.imag)
+    return mass
 
 
 def column_probabilities(block: np.ndarray, position: int, value: int = 1) -> np.ndarray:
@@ -295,17 +305,30 @@ class Contraction:
         """The run's bits."""
         return (self.u.shape[0] - 1) << self.position
 
+    @cached_property
+    def real_u(self) -> np.ndarray | None:
+        """``u`` as a float64 matrix when its imaginary part is exactly zero
+        (H, X and their folded products), else None."""
+        return None if self.u.imag.any() else self.u.real.copy()
+
     def apply(self, b: Block) -> None:
         dim = self.u.shape[0]
-        inner = (1 << self.position) * b.amps.shape[1]
+        amps, out = b.amps, b.scratch
+        u = self.u if amps.dtype == complex else self.real_u
+        inner = (1 << self.position) * amps.shape[1]
         side = dim * inner
         if side <= KRON_MAX_SIDE:
-            pair = (self.u.T[:, None, :, None] * np.eye(inner)[:, None, :]).reshape(side, side)
-            np.matmul(b.amps.reshape(-1, side), pair, out=b.scratch.reshape(-1, side))
+            # A complex block stays complex here: real gemm on its float64
+            # view turns exact-zero readings into about 1e-34.
+            pair = (u.T[:, None, :, None] * np.eye(inner)[:, None, :]).reshape(side, side)
+            np.matmul(amps.reshape(-1, side), pair, out=out.reshape(-1, side))
         else:
-            np.matmul(
-                self.u, b.amps.reshape(-1, dim, inner), out=b.scratch.reshape(-1, dim, inner)
-            )
+            if self.real_u is not None:
+                # A real matrix contracts the float64 view, whose row holds
+                # each column's real and imaginary parts side by side.
+                u, amps, out = self.real_u, amps.view(np.float64), out.view(np.float64)
+                inner = (1 << self.position) * amps.shape[1]
+            np.matmul(u, amps.reshape(-1, dim, inner), out=out.reshape(-1, dim, inner))
         b.swap()
 
 
@@ -390,33 +413,39 @@ def _compile_layer(
 @dataclass(frozen=True)
 class CompiledLayers:
     """A layer slice compiled for one wire ordering (bit p = ``wires[p]``),
-    as its parts in application order."""
+    as its parts in application order. ``real`` holds when every part is
+    real: no contraction has a non-zero imaginary part (sign flips and
+    gathers always are)."""
 
     wires: tuple[int, ...]
     parts: tuple[Part, ...]
+    real: bool
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Run every column of a ``(2**w, batch)`` block through the slice.
-        The block is overwritten; use the returned array, which is either the
-        block or a scratch buffer of its shape."""
+        The block is complex, or float64 when the slice is real. It is
+        overwritten; use the returned array, which is either the block or a
+        scratch buffer of its shape."""
+        dtypes = (complex, np.float64) if self.real else (complex,)
         if (
             block.ndim != 2
             or block.shape[0] != 2 ** len(self.wires)
-            or block.dtype != complex
+            or block.dtype not in dtypes
             or not block.flags.c_contiguous
         ):
+            kinds = " or ".join(np.dtype(t).name for t in dtypes)
             raise ValueError(
-                f"need a C-ordered complex block of {2 ** len(self.wires)} rows,"
+                f"need a C-ordered {kinds} block of {2 ** len(self.wires)} rows,"
                 f" got {block.dtype} {block.shape}"
             )
         b = Block(self.wires, block, np.empty_like(block))
         for part in self.parts:
             apply_gate(part, b)
-        # One pass over the float64 view: columns 2j and 2j+1 hold column
-        # j's real and imaginary parts.
+        # One pass over the float64 view: on a complex block, columns 2j and
+        # 2j+1 hold column j's real and imaginary parts.
         flat = b.amps.view(np.float64)
         sq = np.einsum("ij,ij->j", flat, flat)
-        norms = np.sqrt(sq[0::2] + sq[1::2])
+        norms = np.sqrt(sq[0::2] + sq[1::2] if block.dtype == complex else sq)
         bad = np.nonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0]
         if bad.size:
             raise ValueError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
@@ -481,14 +510,11 @@ def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLay
             else:
                 held[p] = u @ held[p]
         compiled.append((parts, singles))
-    return CompiledLayers(
-        wires,
-        tuple(
-            _merge_sign_flips(
-                part for parts, singles in compiled for part in parts + _fused_contractions(singles)
-            )
-        ),
+    merged = _merge_sign_flips(
+        part for parts, singles in compiled for part in parts + _fused_contractions(singles)
     )
+    real = all(p.real_u is not None for p in merged if isinstance(p, Contraction))
+    return CompiledLayers(wires, tuple(merged), real)
 
 
 def block_columns(width: int) -> int:
@@ -523,12 +549,13 @@ def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]
     """Run the whole circuit on basis states over all of its wires, given as
     integers with bit w = wire w, one block at a time. Yields
     ``(first, block)``: column j of the block is the output for
-    ``inputs[first + j]``. The caller may overwrite the block."""
+    ``inputs[first + j]``. The blocks are float64 when the compiled circuit
+    is real, complex otherwise. The caller may overwrite the block."""
     compiled = compile_layers(c.layers, range(c.wires))
     step = block_columns(c.wires)
     for first in range(0, len(inputs), step):
         chunk = inputs[first : first + step]
-        block = np.zeros((2**c.wires, len(chunk)), dtype=complex)
+        block = np.zeros((2**c.wires, len(chunk)), dtype=float if compiled.real else complex)
         block[chunk, np.arange(len(chunk))] = 1.0
         yield first, compiled.apply(block)
 

@@ -685,8 +685,25 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: {**obj, "history": 5},
         lambda obj: {**obj, "readings": 0.0},
         lambda obj: {**obj, "witness": {**obj["witness"], "amps": [[1.0]]}},
+        lambda obj: {**obj, "readings": "ab"},
+        lambda obj: {**obj, "reference_readings": ["a", "b"]},
+        lambda obj: {**obj, "readings": obj["readings"] + [0.0]},
+        lambda obj: {**obj, "reference_readings": obj["reference_readings"][:1]},
+        lambda obj: {**obj, "readings": [False, False]},
     ],
-    ids=["array", "no-history", "no-witness", "history-int", "scalar-readings", "amp-1-value"],
+    ids=[
+        "array",
+        "no-history",
+        "no-witness",
+        "history-int",
+        "scalar-readings",
+        "amp-1-value",
+        "string-readings",
+        "string-reference-readings",
+        "three-readings",
+        "one-reference-reading",
+        "bool-readings",
+    ],
 )
 def test_certificate_from_json_refuses_a_malformed_document(edit):
     """A certificate is read from outside the program: a document of the
@@ -709,8 +726,9 @@ def test_recheck_rejects_a_free_input_that_is_not_free():
     c = random_single_qubit_z_circuit(8, 2, 3, np.random.default_rng(5))
     cert = parity_certificate(c, "improved")
     assert recheck_certificate(cert, c)
-    # a committed wire, an ancilla, a wire past the end, and a string
-    for wire in (c.target, c.n, c.wires, "0"):
+    # a committed wire, an ancilla, a wire past the end, a string, and the
+    # free input as a float
+    for wire in (c.target, c.n, c.wires, "0", float(cert.free_input)):
         assert not recheck_certificate(dataclasses.replace(cert, free_input=wire), c)
 
 
@@ -761,6 +779,11 @@ def _reference_moved(first, second):
         ((12, 0, 4), _reference_moved(1e-3, -1e-3)),
         ((12, 0, 4), _reference_moved(-1e-3, 1e-3)),
         ((12, 0, 4), _reference_moved(0.9 * sim.READING_TOL, 0.9 * sim.READING_TOL)),
+        ((12, 0, 4), lambda cert: {"psi_wires": (cert.psi_wires[0] + 0.5,) + cert.psi_wires[1:]}),
+        ((12, 0, 4), lambda cert: {"psi_wires": (-1,) + cert.psi_wires[1:]}),
+        ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}),
+        ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}),
+        ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}),
     ],
     ids=[
         "verdict",
@@ -773,6 +796,11 @@ def _reference_moved(first, second):
         "reference-moved-up",
         "reference-moved-down",
         "reference-sum-above-1",
+        "witness-wire-fractional",
+        "witness-wire-negative",
+        "third-reading",
+        "third-reference-reading",
+        "one-reading",
     ],
 )
 def test_recheck_rejects_edited_claims(shape, edit):
@@ -782,7 +810,8 @@ def test_recheck_rejects_edited_claims(shape, edit):
     not-parity verdict needs a free input and stored readings; each stored
     reading must match the recomputed one within ``READING_TOL``, and the
     reference readings must sum to 1, which two readings each raised by
-    less than the tolerance do not."""
+    less than the tolerance do not. A witness wire must be an int the
+    circuit has, and each readings tuple must hold exactly two numbers."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)

@@ -733,6 +733,139 @@ def test_verify_kill_batch_matches_per_state_runs(seed, trials):
     assert abs(result.max_state_diff - max(diffs)) <= TOL and max(diffs) > 0.01
 
 
+# -- real arithmetic -----------------------------------------------------------
+
+
+def rotation(rng):
+    t = rng.uniform(0, 2 * np.pi)
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def real_circuit(n, a, depth, rng):
+    """Layers of H, X, real rotations, Z-gates, Toffolis and Cnots: every
+    gate matrix is real."""
+    layers = []
+    for _ in range(depth):
+        order = [int(w) for w in rng.permutation(n + a)]
+        gates = []
+        while order:
+            size = min(int(rng.integers(1, 4)), len(order))
+            group, order = order[:size], order[size:]
+            kind = int(rng.integers(0, 3))
+            if size == 1:
+                gates.append(SingleQubit(group[0], (HADAMARD, PAULI_X, rotation(rng))[kind]))
+            elif kind == 0:
+                gates.append(ZGate(tuple(group)))
+            elif size == 2 and kind == 1:
+                gates.append(Cnot(group[0], group[1]))
+            else:
+                gates.append(Toffoli(tuple(group[1:]), group[0]))
+        layers.append(Layer(gates))
+    return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+
+
+def toffoli_only_circuit(n, a, depth, rng):
+    layers = []
+    for _ in range(depth):
+        order = [int(w) for w in rng.permutation(n + a)]
+        gates = []
+        while order:
+            size = min(int(rng.integers(1, 4)), len(order))
+            group, order = order[:size], order[size:]
+            gates.append(Toffoli(tuple(group[1:]), group[0]))
+        layers.append(Layer(gates))
+    return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+
+
+def with_gate(c, gate):
+    return dataclasses.replace(c, layers=c.layers + (Layer([gate]),))
+
+
+def basis_dtypes(c):
+    return {block.dtype for _, block in run_basis(c, np.arange(2**c.wires))}
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8))
+def test_run_basis_blocks_are_real_exactly_for_real_circuits(n):
+    """The H-Z-H rewritten log-depth parity circuit, its fanout conjugate and
+    Toffoli-only circuits run in float64 blocks; a phase or a Haar gate
+    makes them complex."""
+    rng = np.random.default_rng(1100 + n)
+    parity = build_parity_logdepth(n)
+    real = [
+        rewrite_toffoli_to_z(parity),
+        rewrite_toffoli_to_z(conjugate_parity_to_fanout(parity)),
+        parity,
+        toffoli_only_circuit(n, 2, 4, rng),
+    ]
+    for c in real:
+        assert compile_layers(c.layers, range(c.wires)).real
+        assert basis_dtypes(c) == {np.dtype(np.float64)}
+    for gate in (SingleQubit(0, np.diag([1, 1j])), SingleQubit(n - 1, random_unitary(rng))):
+        for c in real:
+            assert basis_dtypes(with_gate(c, gate)) == {np.dtype(complex)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_real_blocks_match_per_state_complex_runs(seed):
+    """Every column of every real basis block equals the complex ``run`` of
+    its input as one state, for seeded all-real circuits with n + a <= 10."""
+    rng = np.random.default_rng(1200 + seed)
+    n = int(rng.integers(2, 8))
+    a = int(rng.integers(0, 11 - n))
+    c = real_circuit(n, a, int(rng.integers(2, 7)), rng)
+    if seed % 3 == 0:
+        c = rewrite_toffoli_to_z(c)
+    inputs = rng.permutation(2**c.wires)[: 3 * block_columns(c.wires) // 2]
+    wires = tuple(range(c.wires))
+    for first, block in run_basis(c, inputs):
+        assert block.dtype == np.float64
+        for j in range(block.shape[1]):
+            x = int(inputs[first + j])
+            state = PartialState.basis(wires, {w: x >> w & 1 for w in wires})
+            assert np.abs(block[:, j] - run(c, state).amps).max() <= 1e-15
+
+
+@pytest.mark.parametrize("batch", (1, 5, 32))
+def test_real_contractions_match_dense_kron_at_every_position(batch):
+    """A real 2**k x 2**k matrix at every position of an 8-wire block,
+    complex and float64, against kron(I, u, I); most of these run in the
+    stacked-matmul branch, on the complex block's float64 view."""
+    rng = np.random.default_rng(1300 + batch)
+    width = 8
+    stacked = 0
+    for k in range(1, FUSE_MAX_BITS + 1):
+        for position in range(width - k + 1):
+            u = rotation(rng)
+            for _ in range(k - 1):
+                u = np.kron((HADAMARD.real, PAULI_X.real, rotation(rng))[rng.integers(3)], u)
+            part = Contraction(position, u.astype(complex))
+            assert part.real_u is not None
+            stacked += (2**k << position) * batch > sim.KRON_MAX_SIDE
+            dense = np.kron(np.kron(np.eye(2 ** (width - position - k)), u), np.eye(2**position))
+            complex_block = random_columns(rng, width, batch)
+            for block in (complex_block, np.ascontiguousarray(complex_block.real)):
+                b = sim.Block(tuple(range(width)), block.copy(), np.empty_like(block))
+                part.apply(b)
+                assert b.amps.dtype == block.dtype
+                assert np.abs(b.amps - dense @ block).max() <= TOL
+    assert stacked >= 12
+
+
+def test_a_float64_block_needs_a_real_slice():
+    rng = np.random.default_rng(1400)
+    block = np.zeros((8, 2))
+    block[0] = 1.0
+    real = compile_layers((Layer([SingleQubit(0, HADAMARD), Cnot(1, 2)]),), range(3))
+    assert real.real and real.apply(block.copy()).dtype == np.float64
+    for u in (np.diag([1, 1j]), random_unitary(rng)):
+        layers = (Layer([SingleQubit(0, HADAMARD)]), Layer([SingleQubit(1, u)]))
+        phased = compile_layers(layers, range(3))
+        assert not phased.real
+        with pytest.raises(ValueError, match="need a C-ordered complex128 block of 8 rows"):
+            phased.apply(block.copy())
+
+
 # -- width guard ---------------------------------------------------------------
 
 
