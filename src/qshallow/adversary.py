@@ -567,8 +567,8 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
         psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
     except ValueError:
         return False
-    # The analyzed circuit has the same wires as c.
-    if not all(isinstance(w, int) and w in range(c.wires) for w in psi.wires):
+    # The analyzed circuit has the same wires as c; a bool is not a wire.
+    if not all(type(w) is int and w in range(c.wires) for w in psi.wires):
         return False
     if cert.ancilla_consistency != _ancilla_consistency(psi, c):
         return False
@@ -580,7 +580,7 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
         return False
     analyzed = analyzed_circuit(c, cert.against)
     if (
-        not isinstance(cert.free_input, int)
+        type(cert.free_input) is not int
         or cert.free_input not in range(analyzed.n)
         or cert.free_input in psi.wires
     ):

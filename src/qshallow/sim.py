@@ -36,9 +36,7 @@ fastest in memory. A block is complex, or float64 when the compiled slice is
 real: no contraction has a non-zero imaginary part (sign flips and gathers
 always are real). :func:`run_basis` hands real slices float64 blocks, so
 basis-input loops over circuits of Toffolis, Z-gates, H and X run in real
-arithmetic throughout. On a complex block, a real matrix still contracts in
-real arithmetic, against the block's float64 view, wherever the contraction
-runs as a stacked matmul; the small kron-gemm case stays complex there.
+arithmetic throughout; a complex block contracts in complex arithmetic.
 The block and one scratch buffer of its shape serve as ping-pong buffers,
 each part is applied through :func:`apply_gate`, the per-part hook, and each
 column's norm is checked once, after the last part, in one pass over the
@@ -313,22 +311,14 @@ class Contraction:
 
     def apply(self, b: Block) -> None:
         dim = self.u.shape[0]
-        amps, out = b.amps, b.scratch
-        u = self.u if amps.dtype == complex else self.real_u
-        inner = (1 << self.position) * amps.shape[1]
+        u = self.u if b.amps.dtype == complex else self.real_u
+        inner = (1 << self.position) * b.amps.shape[1]
         side = dim * inner
         if side <= KRON_MAX_SIDE:
-            # A complex block stays complex here: real gemm on its float64
-            # view turns exact-zero readings into about 1e-34.
             pair = (u.T[:, None, :, None] * np.eye(inner)[:, None, :]).reshape(side, side)
-            np.matmul(amps.reshape(-1, side), pair, out=out.reshape(-1, side))
+            np.matmul(b.amps.reshape(-1, side), pair, out=b.scratch.reshape(-1, side))
         else:
-            if self.real_u is not None:
-                # A real matrix contracts the float64 view, whose row holds
-                # each column's real and imaginary parts side by side.
-                u, amps, out = self.real_u, amps.view(np.float64), out.view(np.float64)
-                inner = (1 << self.position) * amps.shape[1]
-            np.matmul(u, amps.reshape(-1, dim, inner), out=out.reshape(-1, dim, inner))
+            np.matmul(u, b.amps.reshape(-1, dim, inner), out=b.scratch.reshape(-1, dim, inner))
         b.swap()
 
 
@@ -413,13 +403,16 @@ def _compile_layer(
 @dataclass(frozen=True)
 class CompiledLayers:
     """A layer slice compiled for one wire ordering (bit p = ``wires[p]``),
-    as its parts in application order. ``real`` holds when every part is
-    real: no contraction has a non-zero imaginary part (sign flips and
-    gathers always are)."""
+    as its parts in application order."""
 
     wires: tuple[int, ...]
     parts: tuple[Part, ...]
-    real: bool
+
+    @cached_property
+    def real(self) -> bool:
+        """Whether every part is real: no contraction has a non-zero
+        imaginary part (sign flips and gathers always are real)."""
+        return all(p.real_u is not None for p in self.parts if isinstance(p, Contraction))
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Run every column of a ``(2**w, batch)`` block through the slice.
@@ -510,11 +503,14 @@ def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLay
             else:
                 held[p] = u @ held[p]
         compiled.append((parts, singles))
-    merged = _merge_sign_flips(
-        part for parts, singles in compiled for part in parts + _fused_contractions(singles)
+    return CompiledLayers(
+        wires,
+        tuple(
+            _merge_sign_flips(
+                part for parts, singles in compiled for part in parts + _fused_contractions(singles)
+            )
+        ),
     )
-    real = all(p.real_u is not None for p in merged if isinstance(p, Contraction))
-    return CompiledLayers(wires, tuple(merged), real)
 
 
 def block_columns(width: int) -> int:

@@ -726,9 +726,10 @@ def test_recheck_rejects_a_free_input_that_is_not_free():
     c = random_single_qubit_z_circuit(8, 2, 3, np.random.default_rng(5))
     cert = parity_certificate(c, "improved")
     assert recheck_certificate(cert, c)
-    # a committed wire, an ancilla, a wire past the end, a string, and the
-    # free input as a float
-    for wire in (c.target, c.n, c.wires, "0", float(cert.free_input)):
+    # a committed wire, an ancilla, a wire past the end, a string, the free
+    # input (wire 0) as a float, and as bools
+    assert cert.free_input == 0
+    for wire in (c.target, c.n, c.wires, "0", float(cert.free_input), False, True):
         assert not recheck_certificate(dataclasses.replace(cert, free_input=wire), c)
 
 

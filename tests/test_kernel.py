@@ -99,8 +99,9 @@ def random_columns(rng, width, batch):
 # -- circuit ensembles ---------------------------------------------------------
 
 
-def random_toffoli_circuit(n, a, depth, rng):
-    """Layers of Toffolis (0-2 controls) and Cnots, with some single-qubit gates."""
+def layered_circuit(n, a, depth, rng, gate):
+    """Layers that split a random permutation of the wires into groups of
+    1-3; ``gate(group, rng)`` picks the gate on each group."""
     layers = []
     for _ in range(depth):
         order = [int(w) for w in rng.permutation(n + a)]
@@ -108,17 +109,25 @@ def random_toffoli_circuit(n, a, depth, rng):
         while order:
             size = min(int(rng.integers(1, 4)), len(order))
             group, order = order[:size], order[size:]
-            kind = rng.integers(0, 3)
-            if size == 1 and kind == 0:
-                gates.append(Toffoli((), group[0]))
-            elif size == 1:
-                gates.append(SingleQubit(group[0], np.array([[0, 1], [1j, 0]])))
-            elif size == 2 and kind == 0:
-                gates.append(Cnot(group[0], group[1]))
-            else:
-                gates.append(Toffoli(tuple(group[1:]), group[0]))
+            gates.append(gate(group, rng))
         layers.append(Layer(gates))
     return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+
+
+def toffoli_or_phase(group, rng):
+    kind = rng.integers(0, 3)
+    if len(group) == 1 and kind == 0:
+        return Toffoli((), group[0])
+    if len(group) == 1:
+        return SingleQubit(group[0], np.array([[0, 1], [1j, 0]]))
+    if len(group) == 2 and kind == 0:
+        return Cnot(group[0], group[1])
+    return Toffoli(tuple(group[1:]), group[0])
+
+
+def random_toffoli_circuit(n, a, depth, rng):
+    """Layers of Toffolis (0-2 controls) and Cnots, with some single-qubit gates."""
+    return layered_circuit(n, a, depth, rng, toffoli_or_phase)
 
 
 def random_unitary(rng):
@@ -741,40 +750,20 @@ def rotation(rng):
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
 
-def real_circuit(n, a, depth, rng):
-    """Layers of H, X, real rotations, Z-gates, Toffolis and Cnots: every
-    gate matrix is real."""
-    layers = []
-    for _ in range(depth):
-        order = [int(w) for w in rng.permutation(n + a)]
-        gates = []
-        while order:
-            size = min(int(rng.integers(1, 4)), len(order))
-            group, order = order[:size], order[size:]
-            kind = int(rng.integers(0, 3))
-            if size == 1:
-                gates.append(SingleQubit(group[0], (HADAMARD, PAULI_X, rotation(rng))[kind]))
-            elif kind == 0:
-                gates.append(ZGate(tuple(group)))
-            elif size == 2 and kind == 1:
-                gates.append(Cnot(group[0], group[1]))
-            else:
-                gates.append(Toffoli(tuple(group[1:]), group[0]))
-        layers.append(Layer(gates))
-    return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+def real_gate(group, rng):
+    """H, X, a real rotation, a Z-gate, a Toffoli or a Cnot: a real matrix."""
+    kind = int(rng.integers(0, 3))
+    if len(group) == 1:
+        return SingleQubit(group[0], (HADAMARD, PAULI_X, rotation(rng))[kind])
+    if kind == 0:
+        return ZGate(tuple(group))
+    if len(group) == 2 and kind == 1:
+        return Cnot(group[0], group[1])
+    return Toffoli(tuple(group[1:]), group[0])
 
 
-def toffoli_only_circuit(n, a, depth, rng):
-    layers = []
-    for _ in range(depth):
-        order = [int(w) for w in rng.permutation(n + a)]
-        gates = []
-        while order:
-            size = min(int(rng.integers(1, 4)), len(order))
-            group, order = order[:size], order[size:]
-            gates.append(Toffoli(tuple(group[1:]), group[0]))
-        layers.append(Layer(gates))
-    return Circuit(n=n, a=a, target=n - 1, layers=tuple(layers))
+def toffoli_gate(group, rng):
+    return Toffoli(tuple(group[1:]), group[0])
 
 
 def with_gate(c, gate):
@@ -796,7 +785,7 @@ def test_run_basis_blocks_are_real_exactly_for_real_circuits(n):
         rewrite_toffoli_to_z(parity),
         rewrite_toffoli_to_z(conjugate_parity_to_fanout(parity)),
         parity,
-        toffoli_only_circuit(n, 2, 4, rng),
+        layered_circuit(n, 2, 4, rng, toffoli_gate),
     ]
     for c in real:
         assert compile_layers(c.layers, range(c.wires)).real
@@ -813,7 +802,7 @@ def test_real_blocks_match_per_state_complex_runs(seed):
     rng = np.random.default_rng(1200 + seed)
     n = int(rng.integers(2, 8))
     a = int(rng.integers(0, 11 - n))
-    c = real_circuit(n, a, int(rng.integers(2, 7)), rng)
+    c = layered_circuit(n, a, int(rng.integers(2, 7)), rng, real_gate)
     if seed % 3 == 0:
         c = rewrite_toffoli_to_z(c)
     inputs = rng.permutation(2**c.wires)[: 3 * block_columns(c.wires) // 2]
@@ -830,7 +819,7 @@ def test_real_blocks_match_per_state_complex_runs(seed):
 def test_real_contractions_match_dense_kron_at_every_position(batch):
     """A real 2**k x 2**k matrix at every position of an 8-wire block,
     complex and float64, against kron(I, u, I); most of these run in the
-    stacked-matmul branch, on the complex block's float64 view."""
+    stacked-matmul branch, in real arithmetic on the float64 block."""
     rng = np.random.default_rng(1300 + batch)
     width = 8
     stacked = 0
