@@ -15,11 +15,14 @@ and any other gate touching K is an :class:`InvariantError`. Each step
 appends one :class:`KillHistoryEntry` (k, K, the wires it pinned, its kills)
 to :class:`KillState`'s history, which is the only place those facts live.
 
-If, after all layers, some input wire is still outside K, flipping it cannot
-move the target reading away from 0, while the parity operator's reading
-always flips, so the circuit provably does not compute parity. The
-serialized :class:`KillCertificate` lets anyone replay that argument with two
-plain simulations.
+:func:`verify_kill` checks the argument where it is made, on K alone: it
+replays the witness forward through the processed layers, checking each
+history entry, each kill's pinned |0> and each step's recruits, and ends on
+the target's reading. If, after all layers, some input wire is still outside
+K, flipping it cannot move the target reading away from 0, while the parity
+operator's reading always flips, so the circuit provably does not compute
+parity. The serialized :class:`KillCertificate` lets anyone replay that
+argument with :func:`recheck_certificate`.
 
 Layer bookkeeping uses application-order indices (``layers[0]`` first);
 the step counter k walks from the output layer (k = 1) toward the input
@@ -32,12 +35,14 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ._version import __version__
 from .circuits import (
     Circuit,
+    Gate,
     Layer,
     MeasurementSpec,
     ZGate,
@@ -52,17 +57,11 @@ from .sim import (
     TargetReading,
     adjoint_gate,
     apply_layer,
-    block_columns,
-    column_probabilities,
-    compile_layers,
-    random_amps,
+    index_map,
     read_target,
     run,
-    tensor_indices,
 )
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
-
-STATE_TOL = 1e-10
 
 Mode = str  # "basic" | "improved"
 
@@ -131,7 +130,7 @@ def _check_mode(mode: Mode) -> None:
         raise ValueError(f"mode must be 'basic' or 'improved', got {mode!r}")
 
 
-def _assert_bound(mode: Mode, c: Circuit, k: int, committed: set[int]) -> None:
+def _assert_bound(mode: Mode, c: Circuit, k: int, committed: tuple[int, ...]) -> None:
     bound = committed_bound(mode, c.a, k)
     if len(committed) > bound:
         raise InvariantError(
@@ -141,22 +140,67 @@ def _assert_bound(mode: Mode, c: Circuit, k: int, committed: set[int]) -> None:
         )
 
 
+def _next_entry(
+    c: Circuit, mode: Mode, history: tuple[KillHistoryEntry, ...]
+) -> tuple[KillHistoryEntry, list[Gate]]:
+    """The entry that the step after ``history`` appends, and the gates of
+    its layer that lie inside the last K, in one pass over the layer. A gate
+    off K is skipped. On the first step, the output layer, K is the target
+    and every ancilla, and each Z-gate touching it is killed by pinning the
+    touched wires. Later, a Z-gate straddling K is killed for free via a wire
+    pinned on the last step in improved mode, else by recruiting its lowest
+    uncommitted wire into K pinned to |0> (an input: the first step commits
+    every ancilla). Any other gate touching K must lie inside it."""
+    k = len(history) + 1
+    layer_index = c.depth() - k
+    if history:
+        committed = set(history[-1].committed)
+        pinned = frozenset(history[-1].fresh) if mode == "improved" else frozenset()
+    else:
+        committed, pinned = {c.target, *range(c.n, c.wires)}, frozenset()
+    killed: list[KillRecord] = []
+    inside: list[Gate] = []
+    for j, g in enumerate(c.layers[layer_index].gates):
+        support = g.support()
+        touched = support & committed
+        if not touched:
+            continue
+        if isinstance(g, ZGate) and not history:
+            killed.append(KillRecord(layer_index, j, g.wires, min(touched), "base-zero"))
+        elif support <= committed:
+            inside.append(g)
+        elif isinstance(g, ZGate) and support & pinned:
+            killed.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
+        elif isinstance(g, ZGate):
+            recruit = min(support - committed)
+            killed.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
+        else:
+            raise InvariantError(
+                f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
+                f" {sorted(support)} vs committed {sorted(committed)}"
+            )
+    if history:
+        killed.sort(key=lambda r: r.via == "recruited")  # stable: fresh-zero kills come first
+        fresh = {r.pinned_wire for r in killed if r.via == "recruited"}
+        committed |= fresh
+    else:
+        killed.sort(key=lambda r: r.pinned_wire)
+        fresh = {w for r in killed for w in r.wires if w in committed}
+    entry = KillHistoryEntry(k, tuple(sorted(committed)), tuple(sorted(fresh)), tuple(killed))
+    return entry, inside
+
+
 def _record_step(
     c: Circuit,
     mode: Mode,
     history: tuple[KillHistoryEntry, ...],
-    committed: set[int],
-    fresh: set[int],
-    killed: list[KillRecord],
+    entry: KillHistoryEntry,
     psi: PartialState,
 ) -> KillState:
-    """Check the cap on K after the step that ``history`` lacks, and return
-    the state with that step's entry appended."""
-    k = len(history) + 1
-    _assert_bound(mode, c, k, committed)
-    entry = KillHistoryEntry(
-        k=k, committed=tuple(sorted(committed)), fresh=tuple(sorted(fresh)), killed=tuple(killed)
-    )
+    """Check the cap on K after ``entry``'s step, and return the state with
+    that entry appended."""
+    _assert_bound(mode, c, entry.k, entry.committed)
+    committed = set(entry.committed)
     rest = tuple(w for w in range(c.wires) if w not in committed)
     return KillState(mode=mode, rest=rest, psi=psi, history=history + (entry,))
 
@@ -171,61 +215,25 @@ def kill_base(c: Circuit, mode: Mode) -> KillState:
         )
     if c.depth() < 1:
         raise ValueError("construction needs depth >= 1")
-    layer_index = c.depth() - 1
-    committed = {c.target} | set(range(c.n, c.wires))
+    entry, inside = _next_entry(c, mode, ())
     zero = np.array([1.0, 0.0], dtype=complex)
-    factors = dict.fromkeys(committed, zero)
-    fresh: set[int] = set()
-    killed: list[KillRecord] = []
-    for j, g in enumerate(c.layers[layer_index].gates):
-        touched = g.support() & committed
-        if not touched:
-            continue
-        if isinstance(g, ZGate):  # pin the touched wires and kill the gate
-            fresh |= touched
-            killed.append(KillRecord(layer_index, j, g.wires, min(touched), "base-zero"))
-        else:
-            factors[g.wire] = g.u.conj().T @ zero
-    killed.sort(key=lambda r: r.pinned_wire)
+    factors = dict.fromkeys(entry.committed, zero)
+    for g in inside:
+        factors[g.wire] = g.u.conj().T @ zero
     psi = functools.reduce(
-        PartialState.tensor, (PartialState((w,), factors[w]) for w in sorted(committed))
+        PartialState.tensor, (PartialState((w,), factors[w]) for w in entry.committed)
     )
-    return _record_step(c, mode, (), committed, fresh, killed, psi)
+    return _record_step(c, mode, (), entry, psi)
 
 
 def kill_step(s: KillState, c: Circuit) -> KillState:
-    """Advance one layer toward the input in one pass over its gates. A
-    Z-gate that straddles K is killed: for free via a wire pinned on the last
-    step in improved mode, else by recruiting its lowest uncommitted wire
-    into K pinned to |0> (an input: ``kill_base`` commits every ancilla). A
-    gate inside K is pulled back through the witness; a gate off K is skipped."""
+    """Advance one layer toward the input (:func:`_next_entry`): pull the
+    gates inside K back through the witness, and pin each recruit to |0>."""
     if s.k >= c.depth():
         raise ValueError(f"all {c.depth()} layers already processed")
-    layer_index = c.depth() - 1 - s.k
-    committed = set(s.committed)
-    pinned = s.fresh_zero if s.mode == "improved" else frozenset()
-    killed: list[KillRecord] = []
-    pulled = []
-    for j, g in enumerate(c.layers[layer_index].gates):
-        support = g.support()
-        if not support & committed:
-            continue
-        if support <= committed:
-            pulled.append(adjoint_gate(g))
-        elif isinstance(g, ZGate) and support & pinned:
-            killed.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
-        elif isinstance(g, ZGate):
-            recruit = min(support - committed)
-            killed.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
-        else:
-            raise InvariantError(
-                f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
-                f" {sorted(support)} vs committed {sorted(committed)}"
-            )
-    killed.sort(key=lambda r: r.via == "recruited")  # stable: fresh-zero kills come first
-    recruited = {r.pinned_wire for r in killed if r.via == "recruited"}
-    psi = apply_layer(Layer(pulled), s.psi).extend_zeros(recruited)
-    return _record_step(c, s.mode, s.history, committed | recruited, recruited, killed, psi)
+    entry, inside = _next_entry(c, s.mode, s.history)
+    psi = apply_layer(Layer(map(adjoint_gate, inside)), s.psi).extend_zeros(entry.fresh)
+    return _record_step(c, s.mode, s.history, entry, psi)
 
 
 def kill_run(c: Circuit, mode: Mode) -> KillState:
@@ -236,120 +244,62 @@ def kill_run(c: Circuit, mode: Mode) -> KillState:
     return s
 
 
-def strip_killed(c: Circuit, killed: tuple[KillRecord, ...]) -> Circuit:
-    """Copy of the circuit with every killed gate removed (replaced by the
-    identity its pinned wire justifies)."""
-    dropped = {(r.layer, r.gate_index) for r in killed}
-    layers = tuple(
-        Layer(g for j, g in enumerate(layer.gates) if (i, j) not in dropped)
-        for i, layer in enumerate(c.layers)
-    )
-    return Circuit(n=c.n, a=c.a, target=c.target, layers=layers)
-
-
 @dataclass(frozen=True)
 class VerifyKillResult:
     ok: bool
-    trials: int
-    readings: tuple[tuple[float, float], ...]  # (full-gate p1, killed-dropped p1)
-    max_p1: float
-    max_state_diff: float
+    max_p1: float  # the largest |1>-probability on a wire the replay required to read |0>
+    target_p1: float | None  # the target's final reading; None if the replay stopped before it
 
 
-def _cone_split(
-    c: Circuit, from_layer: int, killed: tuple[KillRecord, ...]
-) -> tuple[tuple[Layer, ...], tuple[Layer, ...], tuple[Layer, ...]]:
-    """Sort the gates of ``c.layers[from_layer:]`` by one forward walk from
-    the killed gates. A gate joins the cone if it is killed or touches a wire
-    that cone gates of earlier layers hold; the cone then grows by its
-    support. Returns, one pseudo-layer per layer, the shared gates (every
-    other gate), the cone gates (the full tail) and the cone gates that are
-    not killed (the stripped tail)."""
-    dropped = {(r.layer, r.gate_index) for r in killed}
-    cone: set[int] = set()
-    shared: list[Layer] = []
-    full: list[Layer] = []
-    stripped: list[Layer] = []
-    for i in range(from_layer, c.depth()):
-        outside, inside, kept = [], [], []
-        for j, g in enumerate(c.layers[i].gates):
-            if (i, j) in dropped:
-                inside.append(g)
-            elif g.support() & cone:
-                inside.append(g)
-                kept.append(g)
-            else:
-                outside.append(g)
-        cone.update(*(g.support() for g in inside))
-        shared.append(Layer(outside))
-        full.append(Layer(inside))
-        stripped.append(Layer(kept))
-    return tuple(shared), tuple(full), tuple(stripped)
+def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> VerifyKillResult:
+    """Replay the witness exactly: start from ``s.psi`` on the final K and
+    walk the processed layers toward the output. Each history entry must be
+    the one the construction appends after the entries before it
+    (:func:`_next_entry`), and at each layer
 
+    - every killed gate's pinned wire must read |0>, so the Z-gate acts as
+      the identity whatever the uncommitted wires hold;
+    - the other gates touching K lie inside the previous step's K, and are
+      applied;
+    - the wires this step added to K must read |0>, and are projected out.
 
-def verify_kill(
-    c: Circuit, s: KillState, trials: int = 20, seed: int = 0
-) -> VerifyKillResult:
-    """Check the witness the hard way: for the all-zeros basis state and
-    ``trials`` random unit states over the uncommitted wires, simulate the
-    processed layer suffix on (rest tensor psi) twice -- once with killed
-    gates dropped, once with every gate in place -- and demand a target
-    reading of at most ``READING_TOL`` and matching states from both runs.
+    At the end the target must read |0>. A wire reads |0> when its
+    |1>-probability is at most ``READING_TOL``. The state stays a product of
+    the uncommitted wires' state and the replayed one, so this proves that
+    the target reads the replay's final reading for every state of the
+    uncommitted wires. A history that is not the construction's fails with
+    ``max_p1`` 0. ``trials`` and ``seed`` are ignored; they are kept for
+    callers of the sampled check that this replay replaced."""
+    readings = [0.0]
 
-    The rest states are drawn from ``seed`` in trial order and run as
-    columns of one block at a time. The two suffixes can differ only inside
-    the forward cone of the killed gates (:func:`_cone_split`), so each
-    block runs once through the gates outside it, the shared part; then a
-    copy runs through the cone gates, the full tail, and the block itself
-    through the cone gates that are not killed, the stripped tail. This is
-    exact: the cone only grows, so a gate outside it at its layer is
-    disjoint from every earlier cone gate, commutes ahead of all of them,
-    and sits unchanged in both suffixes. With no killed gate the cone is
-    empty, the block is both outputs and the state difference is 0."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    rng = np.random.default_rng(seed)
-    wires, own, theirs = tensor_indices(s.rest, s.psi.wires)
-    shared_layers, full_tail, stripped_tail = _cone_split(c, c.depth() - s.k, s.killed)
-    shared = compile_layers(shared_layers, wires)
-    full = compile_layers(full_tail, wires)
-    stripped = compile_layers(stripped_tail, wires)
-    target = wires.index(c.target)
-    witness = s.psi.amps[theirs][:, None]
+    def reads_zero(state: PartialState, wires: Iterable[int]) -> bool:
+        readings.extend(state.restricted_probability(w, 1) for w in wires)
+        return max(readings) <= READING_TOL
 
-    count = trials + 1
-    step = block_columns(len(wires))
-    readings: list[tuple[float, float]] = []
-    max_diff = 0.0
-    for first in range(0, count, step):
-        columns = min(step, count - first)
-        rest = np.zeros((2 ** len(s.rest), columns), dtype=complex)
-        # Column 0 of the first block is the all-zeros rest state; with no
-        # rest wires, every column is the scalar 1.
-        drawn = columns - (first == 0) if s.rest else 0
-        rest[0, : columns - drawn] = 1.0
-        for j in range(columns - drawn, columns):
-            rest[:, j] = random_amps(len(s.rest), rng)
-        out_killed = shared.apply(rest[own] * witness)
-        if not s.killed:  # both tails are empty: the block is both outputs
-            p1 = column_probabilities(out_killed, target).tolist()
-            readings.extend(zip(p1, p1))
-            continue
-        out_full = full.apply(out_killed.copy())
-        out_killed = stripped.apply(out_killed)
-        p_full = column_probabilities(out_full, target)
-        p_killed = column_probabilities(out_killed, target)
-        readings.extend(zip(p_full.tolist(), p_killed.tolist()))
-        max_diff = max(max_diff, float(np.abs(out_killed - out_full).max()))
-    max_p1 = max(max(pair) for pair in readings)
-    ok = max_p1 <= READING_TOL and max_diff <= STATE_TOL
-    return VerifyKillResult(
-        ok=ok,
-        trials=count,
-        readings=tuple(readings),
-        max_p1=max_p1,
-        max_state_diff=max_diff,
-    )
+    if not 0 < len(s.history) <= c.depth() or s.psi.wires != s.committed:
+        return VerifyKillResult(False, 0.0, None)
+    inside = []  # per step, the gates applied to the replayed state
+    for k, entry in enumerate(s.history):
+        try:
+            expected, gates = _next_entry(c, s.mode, s.history[:k])
+        except InvariantError:
+            expected = None
+        if entry != expected:
+            return VerifyKillResult(False, 0.0, None)
+        inside.append(gates)
+    state = s.psi
+    for k in reversed(range(len(s.history))):
+        entry = s.history[k]
+        kept = s.history[k - 1].committed if k else entry.committed
+        if not reads_zero(state, (r.pinned_wire for r in entry.killed)):
+            return VerifyKillResult(False, max(readings), None)
+        state = apply_layer(Layer(inside[k]), state)
+        if not reads_zero(state, set(entry.committed) - set(kept)):
+            return VerifyKillResult(False, max(readings), None)
+        amps = state.amps[index_map(kept, state.wires)]
+        state = PartialState(kept, amps / np.linalg.norm(amps))
+    target_p1 = state.restricted_probability(c.target, 1)
+    return VerifyKillResult(reads_zero(state, (c.target,)), max(readings), target_p1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +353,27 @@ def flip_pair(
     all-zeros over the wires ``psi`` leaves out, tensored with ``psi``, and
     the same with the input wire ``free_input`` (outside ``psi``) set.
     Returns the circuit's readings of the measured wire on both inputs, then
-    the parity operator's.
+    the parity operator's (:func:`_parity_readings`).
 
     Only the measured wire's backward cone is simulated: its gates, on the
-    cone's wires outside ``psi`` tensored with ``psi``. The parity readings
-    come from ``psi`` and the bits alone: the baseline one is psi's mass of
-    odd parity and, the free input adding one set bit, the flipped one its
-    mass of even parity."""
+    cone's wires outside ``psi`` tensored with ``psi``."""
     sets, cone = backward_cone(c, m.wire)
     rest = tuple(w for w in sets[-1] if w not in psi.wires)
     readings = [
         read_target(run(cone, PartialState.basis(rest, bits).tensor(psi)), m)
         for bits in ({}, {free_input: 1})
     ]
+    return (readings[0], readings[1]), _parity_readings(psi, m.wire, c.n)
+
+
+def _parity_readings(psi: PartialState, measured: int, n: int) -> tuple[float, float]:
+    """The parity operator's readings of the measured wire on a flip pair
+    around ``psi``, from ``psi`` and the bits alone: the baseline one is
+    psi's mass of odd parity and, the free input adding one set bit, the
+    flipped one its mass of even parity."""
     mass = np.abs(psi.amps) ** 2
-    odd = parity_mask(psi.wires, m.wire, c.n)
-    return (readings[0], readings[1]), (float(np.sum(mass[odd])), float(np.sum(mass[~odd])))
+    odd = parity_mask(psi.wires, measured, n)
+    return float(np.sum(mass[odd])), float(np.sum(mass[~odd]))
 
 
 def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
@@ -504,11 +459,32 @@ def _reading_pair(value: object) -> bool:
     )
 
 
+def _history_entry(e: dict) -> KillHistoryEntry:
+    """One parsed ``history`` entry. Its integers must be ints (a bool is
+    not one), and each kill's ``via`` one the construction writes."""
+    entry = KillHistoryEntry(
+        k=e["k"],
+        committed=tuple(e["committed"]),
+        fresh=tuple(e["fresh"]),
+        killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
+    )
+    ints = [entry.k, *entry.committed, *entry.fresh]
+    for r in entry.killed:
+        ints += [r.layer, r.gate_index, r.pinned_wire, *r.wires]
+    if not all(type(v) is int for v in ints):
+        raise ValueError(f"history integers must be ints: {e!r}")
+    if any(r.via not in ("base-zero", "fresh-zero", "recruited") for r in entry.killed):
+        raise ValueError(f"unknown kill via in {e!r}")
+    return entry
+
+
 def certificate_from_json(text: str) -> KillCertificate:
     """Parse a certificate document. One that is not a JSON object of the
-    shape :func:`certificate_to_json` writes raises ``ValueError``; so do
-    ``readings`` or ``reference_readings`` other than null or two numbers.
-    A non-finite reading parses, and fails :func:`recheck_certificate`."""
+    shape :func:`certificate_to_json` writes raises ``ValueError``; so do a
+    ``mode`` other than basic or improved, a malformed ``history`` entry
+    (:func:`_history_entry`), and ``readings`` or ``reference_readings``
+    other than null or two numbers. A non-finite reading parses, and fails
+    :func:`recheck_certificate`."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("malformed kill certificate: not a JSON object")
@@ -520,21 +496,13 @@ def certificate_from_json(text: str) -> KillCertificate:
                 f"malformed kill certificate: {field} must be two numbers, got {obj[field]!r}"
             )
     try:
-        history = tuple(
-            KillHistoryEntry(
-                k=e["k"],
-                committed=tuple(e["committed"]),
-                fresh=tuple(e["fresh"]),
-                killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
-            )
-            for e in obj["history"]
-        )
+        _check_mode(obj["mode"])
         return KillCertificate(
             version=obj["version"],
             circuit_sha256=obj["circuit_sha256"],
             against=obj["against"],
             mode=obj["mode"],
-            history=history,
+            history=tuple(map(_history_entry, obj["history"])),
             psi_wires=tuple(obj["witness"]["wires"]),
             psi_amps=tuple(complex(re, im) for re, im in obj["witness"]["amps"]),
             free_input=obj["free_input"],
@@ -552,16 +520,26 @@ def certificate_from_json(text: str) -> KillCertificate:
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Independently replay a certificate against a circuit: its hash, an
-    ``against`` of parity or fanout, and the witness's ``ancilla_consistency``.
-    An inconclusive verdict has no free input or ``readings``; any other is
-    ``not-{against}``, with an input wire outside the witness as free input,
-    and the re-simulated flip pair must read ~0, match the stored readings,
-    and give parity readings that sum to 1. The kill history is not read.
-    A malformed witness (wires out of order or not ints in ``range(c.wires)``,
-    an amplitude count other than 2**len(wires), a norm other than 1), or
-    stored readings other than two numbers each, fail the recheck."""
-    if circuit_sha256(c) != cert.circuit_sha256 or cert.against not in ("parity", "fanout"):
+    """Independently check a certificate against a circuit: its hash, an
+    ``against`` of parity or fanout, a ``mode`` of basic or improved, and the
+    witness's ``ancilla_consistency``. The kill history must cover every
+    layer of the analyzed circuit, and :func:`verify_kill` replays it from
+    the witness, so every ``committed``, ``fresh`` and ``killed`` claim is
+    checked. An inconclusive verdict has no free input and no readings, and
+    its witness covers every input; any other is ``not-{against}``, with an
+    input wire outside the witness as free input. The replay proves that the target reads the same whatever
+    the uncommitted wires hold, so both stored circuit readings must lie
+    within ``READING_TOL`` of its final target reading. The parity readings
+    come from the witness alone (:func:`_parity_readings`); the stored ones
+    must match them and sum to 1. A malformed witness (wires out of order or
+    not ints in ``range(c.wires)``, an amplitude count other than
+    2**len(wires), a norm other than 1), or stored readings other than two
+    numbers each, fail the recheck."""
+    if (
+        circuit_sha256(c) != cert.circuit_sha256
+        or cert.against not in ("parity", "fanout")
+        or cert.mode not in ("basic", "improved")
+    ):
         return False
     try:
         psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
@@ -572,26 +550,34 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
         return False
     if cert.ancilla_consistency != _ancilla_consistency(psi, c):
         return False
-    if cert.verdict == "inconclusive":
-        return cert.free_input is None and cert.readings is None
+    analyzed = analyzed_circuit(c, cert.against)
+    if len(cert.history) != analyzed.depth():
+        return False
+    rest = tuple(w for w in range(c.wires) if w not in psi.wires)
+    check = verify_kill(analyzed, KillState(cert.mode, rest, psi, cert.history))
+    if not check.ok:
+        return False
+    if cert.verdict == "inconclusive":  # no readings, and no input outside the witness
+        return (
+            cert.free_input is None
+            and cert.readings is None
+            and cert.reference_readings is None
+            and set(range(analyzed.n)) <= set(psi.wires)
+        )
     if cert.verdict != f"not-{cert.against}":
         return False
     if not (_reading_pair(cert.readings) and _reading_pair(cert.reference_readings)):
         return False
-    analyzed = analyzed_circuit(c, cert.against)
     if (
         type(cert.free_input) is not int
         or cert.free_input not in range(analyzed.n)
         or cert.free_input in psi.wires
     ):
         return False
-    if not all(map(math.isfinite, (*cert.readings, *cert.reference_readings))):
-        return False
-    pair, reference = flip_pair(analyzed, MeasurementSpec(analyzed.target), psi, cert.free_input)
-    # Each check is written so that a NaN anywhere fails it.
+    reference = _parity_readings(psi, analyzed.target, analyzed.n)
+    # Each check is written so that a NaN or an infinity anywhere fails it.
     for i in range(2):
-        p1 = pair[i].p1
-        if not (p1 <= READING_TOL and abs(p1 - cert.readings[i]) <= READING_TOL):
+        if not abs(cert.readings[i] - check.target_p1) <= READING_TOL:
             return False
         if not abs(reference[i] - cert.reference_readings[i]) <= READING_TOL:
             return False

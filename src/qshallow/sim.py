@@ -43,8 +43,8 @@ column's norm is checked once, after the last part, in one pass over the
 block's float64 view. :func:`run` (a whole
 circuit) and :func:`apply_layer` (one layer) are the :class:`PartialState`
 entry points, batch-of-1 wrappers over the kernel; loops over many states
-(basis inputs, random trials) hand it blocks of at most ``BLOCK_AMPS``
-amplitudes each, or one column when a single state is larger.
+(basis inputs, the tests' sampled rest states) hand it blocks of at most
+``BLOCK_AMPS`` amplitudes each, or one column when a single state is larger.
 
 No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
 :class:`PartialState` constructors, :func:`full_input_state`,

@@ -19,10 +19,10 @@ from qshallow import (
     ZGate,
     apply_layer,
     build_parity_logdepth,
-    dense_operator,
     certificate_from_json,
     certificate_to_json,
     committed_bound,
+    dense_operator,
     kill_base,
     kill_run,
     kill_step,
@@ -32,20 +32,16 @@ from qshallow import (
     rewrite_toffoli_to_z,
     robust_check,
     run,
-    strip_killed,
     verify_clean,
     verify_kill,
 )
 from qshallow.randcirc import random_single_qubit_z_circuit
 import qshallow.adversary as adversary
 import qshallow.sim as sim
-from qshallow.sim import (
-    block_columns,
-    column_probabilities,
-    compile_layers,
-    random_amps,
-    tensor_indices,
-)
+from qshallow.sim import READING_TOL, column_probabilities, tensor_indices
+
+from kill_oracle import strip_killed, two_suffix_verify_kill
+from test_golden import DATA as GOLDEN, _certificate_circuits
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -141,7 +137,7 @@ def test_hand_trace_depth_two():
     expected[0b00] = 1 / np.sqrt(2)
     expected[0b10] = 1 / np.sqrt(2)  # wire 2 is bit 1
     assert np.abs(s.psi.amps - expected).max() <= 1e-12
-    result = verify_kill(c, s, trials=20)
+    result = verify_kill(c, s)
     assert result.ok
 
 
@@ -241,7 +237,7 @@ def test_improved_bound_breach_raises():
     # Basic mode has the room, and its witness still works.
     s = kill_run(c, "basic")
     assert len(s.committed) == 5 <= committed_bound("basic", 0, 4)
-    assert verify_kill(c, s, trials=10).ok
+    assert verify_kill(c, s).ok
 
 
 @pytest.mark.parametrize("mode", ["basic", "improved"])
@@ -250,10 +246,30 @@ def test_verify_kill_on_random_circuits(mode):
     for i in range(20):
         c = random_single_qubit_z_circuit(9, 0, 3, rng)
         s = kill_run(c, mode)
-        result = verify_kill(c, s, trials=20, seed=i)
-        assert result.ok, (i, result.max_p1, result.max_state_diff)
-        assert result.max_p1 <= 1e-9
-        assert result.max_state_diff <= 1e-10
+        result = verify_kill(c, s)
+        assert result.ok, (i, result.max_p1)
+        assert result.max_p1 <= 1e-9 and result.target_p1 <= result.max_p1
+
+
+def test_verify_kill_refuses_a_pinned_wire_that_reads_one():
+    """The output layer's Z(0, 2) is killed at the committed ancilla 2. A
+    witness with that ancilla at |1> still leaves the target at 0, since the
+    gate then acts on wire 0 alone, but the kill's claim is false: the replay
+    refuses it on the pinned wire, before it reaches the target."""
+    c = Circuit(
+        n=2,
+        a=1,
+        target=1,
+        layers=(Layer([ZGate((0, 2)), SingleQubit(1, HADAMARD)]),),
+    )
+    s = kill_run(c, "improved")
+    assert s.killed == (KillRecord(0, 0, (0, 2), 2, "base-zero"),)
+    assert verify_kill(c, s).ok
+    excited = dataclasses.replace(s, psi=PartialState((1, 2), np.array([0, 0, 1, 1]) / np.sqrt(2)))
+    rest = PartialState.basis(excited.rest, {0: 1})
+    assert read_target(run(c, rest.tensor(excited.psi)), MeasurementSpec(1)).p1 <= 1e-30
+    result = verify_kill(c, excited)
+    assert not result.ok and result.max_p1 == pytest.approx(1.0) and result.target_p1 is None
 
 
 def test_verify_kill_depth_one_z_fed_all_ones_rest():
@@ -263,39 +279,6 @@ def test_verify_kill_depth_one_z_fed_all_ones_rest():
     rest_state = PartialState.basis(s.rest, {w: 1 for w in s.rest})
     out = run(c, rest_state.tensor(s.psi))
     assert read_target(out, MeasurementSpec(0)).p1 == 0.0
-
-
-def two_suffix_verify_kill(c, s, trials, seed):
-    """(readings, max state diff, ok) with each block simulated through two
-    independently compiled suffixes, the full one and the stripped one, from
-    the same draws in the same blocks as ``verify_kill``."""
-    rng = np.random.default_rng(seed)
-    from_layer = c.depth() - s.k
-    wires, own, theirs = tensor_indices(s.rest, s.psi.wires)
-    full = compile_layers(c.layers[from_layer:], wires)
-    stripped = compile_layers(strip_killed(c, s.killed).layers[from_layer:], wires)
-    target = wires.index(c.target)
-    witness = s.psi.amps[theirs][:, None]
-    count = trials + 1
-    step = block_columns(len(wires))
-    readings, diffs = [], []
-    for first in range(0, count, step):
-        rest = np.zeros((2 ** len(s.rest), min(step, count - first)), dtype=complex)
-        for j in range(rest.shape[1]):
-            if first + j == 0 or not s.rest:
-                rest[0, j] = 1.0
-            else:
-                rest[:, j] = random_amps(len(s.rest), rng)
-        start = rest[own] * witness
-        out_full = full.apply(start.copy())
-        out_killed = stripped.apply(start)
-        p_full = column_probabilities(out_full, target)
-        p_killed = column_probabilities(out_killed, target)
-        readings += zip(p_full.tolist(), p_killed.tolist())
-        diffs.append(np.abs(out_killed - out_full).max())
-    max_diff = float(max(diffs))
-    ok = max(max(pair) for pair in readings) <= 1e-9 and max_diff <= 1e-10
-    return readings, max_diff, ok
 
 
 def kill_states(c, mode):
@@ -309,12 +292,13 @@ def kill_states(c, mode):
 
 
 def test_verify_kill_matches_two_independent_suffix_runs():
-    """Sharing the part of the two suffixes before the first killed gate
-    changes no reading. The seeds put the first killed layer at every offset
-    from the first processed layer, in full and partial kill states, and
-    include states with no killed gate. A true witness reads ~0 whatever the
-    suffix does elsewhere, so each state is also checked with a random
-    witness, whose readings and state differences are far from 0."""
+    """The exact replay agrees on ``ok`` with the sampled oracle, which runs
+    every wire through the whole suffix and through the suffix without the
+    killed gates: on the Z ensemble at n = 8-12, in both modes, at every
+    partial and full kill state, for the construction's witness and for a
+    random one, whose readings are far from 0. The seeds put the first
+    killed layer at every offset from the first processed layer, and include
+    states with no killed gate."""
     seen = set()
     for seed in (0, 2, 3, 4, 6, 12):
         rng = np.random.default_rng(seed)
@@ -324,109 +308,47 @@ def test_verify_kill_matches_two_independent_suffix_runs():
                 from_layer = c.depth() - s.k
                 split = min((r.layer - from_layer for r in s.killed), default=None)
                 seen.add((s.k, split))
+                assert verify_kill(c, s).ok and two_suffix_verify_kill(c, s, 9, seed)["ok"]
                 noise = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, rng))
-                for state in (s, noise):
-                    result = verify_kill(c, state, trials=9, seed=seed)
-                    readings, max_diff, ok = two_suffix_verify_kill(c, state, 9, seed)
-                    assert len(result.readings) == len(readings) == 10
-                    for got, want in zip(result.readings, readings):
-                        assert abs(got[0] - want[0]) <= 1e-15
-                        assert abs(got[1] - want[1]) <= 1e-15
-                    assert abs(result.max_state_diff - max_diff) <= 1e-15
-                    assert result.ok == ok
-                assert result.max_p1 > 1e-3 and not result.ok
+                result = verify_kill(c, noise)
+                assert not result.ok and result.max_p1 > 1e-3
+                assert not two_suffix_verify_kill(c, noise, 9, seed)["ok"]
     offsets = {(k, split) for k in range(1, 5) for split in [*range(k), None]}
     assert seen == offsets
 
 
-def test_verify_kill_applies_each_part_once_without_kills(monkeypatch):
-    """With no killed gate, the full and stripped suffixes are one circuit,
-    so each of its compiled parts runs once per block, not once per suffix."""
-    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(3))
-    s = kill_run(c, "improved")
-    assert not s.killed
-    wires = tensor_indices(s.rest, s.psi.wires)[0]
-    suffix = compile_layers(c.layers[c.depth() - s.k :], wires).parts
-    trials = block_columns(len(wires)) - 1  # one block
-    seen = []
-    original = sim.apply_gate
-
-    def counting(part, block):
-        seen.append(part)
-        return original(part, block)
-
-    monkeypatch.setattr(sim, "apply_gate", counting)
-    assert verify_kill(c, s, trials=trials).ok
-    assert len(seen) == len(suffix) > 0
-    for got, want in zip(seen, suffix):
-        assert type(got) is type(want)
-        for field in dataclasses.fields(want):
-            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
-
-
-def forward_cone(c, s):
-    """(layer, gate index) of every gate in the killed gates' forward cone:
-    a gate is in it if it is killed or touches a wire that cone gates of
-    earlier layers hold."""
-    killed = {(r.layer, r.gate_index) for r in s.killed}
-    wires, gates = set(), set()
-    for i in range(c.depth() - s.k, c.depth()):
-        grown = set()
-        for j, g in enumerate(c.layers[i].gates):
-            if (i, j) in killed or g.support() & wires:
-                gates.add((i, j))
-                grown |= g.support()
-        wires |= grown
-    return gates
-
-
-def test_verify_kill_applies_each_part_once_with_kills(monkeypatch):
-    """Per block, every part of the shared part (the suffix outside the killed
-    gates' forward cone) runs once, and each tail's parts run once: only the
-    cone is simulated per suffix."""
-    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
-    s = kill_run(c, "basic")
-    from_layer = c.depth() - s.k
-    cone = forward_cone(c, s)
-    assert s.killed and 0 < len(cone) < sum(len(layer.gates) for layer in c.layers)
-    wires = tensor_indices(s.rest, s.psi.wires)[0]
-    outside = [
-        Layer(g for j, g in enumerate(c.layers[i].gates) if (i, j) not in cone)
-        for i in range(from_layer, c.depth())
-    ]
-    want_shared = compile_layers(outside, wires).parts
-    compiled, seen = [], []
-    original_compile, original_apply = adversary.compile_layers, sim.apply_gate
-
-    def recording_compile(layers, order):
-        compiled.append(original_compile(layers, order))
-        return compiled[-1]
-
-    def counting(part, block):
-        seen.append(id(part))
-        return original_apply(part, block)
-
-    monkeypatch.setattr(adversary, "compile_layers", recording_compile)
-    monkeypatch.setattr(sim, "apply_gate", counting)
-    blocks = 3
-    assert verify_kill(c, s, trials=blocks * block_columns(len(wires)) - 1).ok
-    shared, full, stripped = (compiled_layers.parts for compiled_layers in compiled)
-    assert len(shared) == len(want_shared) > 0 and full
-    for got, want in zip(shared, want_shared):
-        assert type(got) is type(want)
-        for field in dataclasses.fields(want):
-            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
-    assert len(seen) == blocks * (len(shared) + len(full) + len(stripped))
-    for part in shared + full + stripped:
-        assert seen.count(id(part)) == blocks
+def test_verify_kill_is_stricter_than_the_sampled_check_only_on_pinned_wires():
+    """Witnesses edited by rolling their amplitudes. Whenever the replay
+    accepts one, so does the sampled oracle. The replay rejects some that the
+    oracle accepts: in those a wire that a kill pins to |0> reads |1>, and
+    the replay stops there, before the target, though the killed gate acts
+    as the identity on the sampled states anyway."""
+    stricter = 0
+    for seed in (0, 2, 3, 4, 6, 12):
+        c = random_single_qubit_z_circuit(8 + seed % 5, 0, 4, np.random.default_rng(seed))
+        for mode in ("basic", "improved"):
+            for s in kill_states(c, mode):
+                for shift in range(1, len(s.psi.amps)):
+                    psi = PartialState(s.psi.wires, np.roll(s.psi.amps, shift))
+                    rolled = dataclasses.replace(s, psi=psi)
+                    result = verify_kill(c, rolled)
+                    if two_suffix_verify_kill(c, rolled, 9, seed)["ok"]:
+                        if not result.ok:
+                            stricter += 1
+                            assert result.target_p1 is None and result.max_p1 > READING_TOL
+                    else:
+                        assert not result.ok
+    assert stricter > 0
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_cone_split_keeps_both_suffix_operators(seed):
-    """Shared part then full tail is the processed suffix, and shared part
-    then stripped tail is the stripped suffix, as dense operators; every
-    suffix gate lands in exactly one of the shared part and the full tail,
-    the full tail holding the killed gates' forward cone."""
+def test_verify_kill_matches_dense_suffix_operators(seed):
+    """Small draws with ancillae, Z-heavy on odd seeds, at every kill state of
+    both modes. The replay accepts the construction's witness, and what it
+    proves holds for every rest basis state, so by linearity for every rest
+    state: as dense operators, the processed suffix and the suffix without
+    the killed gates act alike on (rest tensor psi), and leave the target at
+    |0>. A random witness is refused."""
     rng = np.random.default_rng(seed)
     a = seed % 3
     n = int(rng.integers(4, 9 - a))
@@ -434,27 +356,20 @@ def test_cone_split_keeps_both_suffix_operators(seed):
     c = random_single_qubit_z_circuit(n, a, 4, rng, **heavy)
     for mode in ("basic", "improved"):
         for s in kill_states(c, mode):
-            from_layer = c.depth() - s.k
-            shared, full, stripped = adversary._cone_split(c, from_layer, s.killed)
-            assert len(shared) == len(full) == len(stripped) == s.k
-            cone = forward_cone(c, s)
-            for i, (out, inside, kept) in enumerate(zip(shared, full, stripped)):
-                gates = c.layers[from_layer + i].gates
-                want_inside = [g for j, g in enumerate(gates) if (from_layer + i, j) in cone]
-                assert list(inside.gates) == want_inside
-                assert list(out.gates) == [g for g in gates if g not in want_inside]
-                assert list(kept.gates) == [
-                    g for g in strip_killed(c, s.killed).layers[from_layer + i].gates
-                    if g in want_inside
-                ]
+            assert verify_kill(c, s).ok
+            own, theirs = tensor_indices(s.rest, s.psi.wires)[1:]
+            rests = own[:, None] == np.arange(2 ** len(s.rest))[None, :]
+            start = rests * s.psi.amps[theirs][:, None]  # column r: rest basis state r, psi
 
-            def operator(layers):
-                return dense_operator(dataclasses.replace(c, layers=tuple(layers)))
+            def suffix(circuit):
+                layers = circuit.layers[c.depth() - s.k :]
+                return dense_operator(dataclasses.replace(circuit, layers=layers)) @ start
 
-            suffix = c.layers[from_layer:]
-            stripped_suffix = strip_killed(c, s.killed).layers[from_layer:]
-            assert np.abs(operator(shared + full) - operator(suffix)).max() <= 1e-12
-            assert np.abs(operator(shared + stripped) - operator(stripped_suffix)).max() <= 1e-12
+            full = suffix(c)
+            assert np.abs(full - suffix(strip_killed(c, s.killed))).max() <= 1e-10
+            assert column_probabilities(full, c.target).max() <= READING_TOL
+            noise = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, rng))
+            assert not verify_kill(c, noise).ok
 
 
 def fibonacci(m):
@@ -497,26 +412,6 @@ def test_improved_growth_meets_the_fibonacci_bound(monkeypatch):
                 assert len(s.committed) <= fibonacci(s.k + 1), (n, seed, s.k)
                 over_cap += len(s.committed) > committed_bound("improved", 0, s.k)
     assert over_cap > 0
-
-
-def test_verify_kill_refuses_negative_trials(monkeypatch):
-    c = random_single_qubit_z_circuit(8, 0, 3, np.random.default_rng(5))
-    s = kill_run(c, "improved")
-
-    def no_compile(*args):
-        raise AssertionError("compiled before the trial count was checked")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(adversary, "compile_layers", no_compile)
-        with pytest.raises(ValueError, match=r"trials must be >= 0, got -1"):
-            verify_kill(c, s, trials=-1)
-    # trials=0 still checks the all-zeros rest state, and only that one.
-    result = verify_kill(c, s, trials=0)
-    assert result.ok and result.trials == 1 and len(result.readings) == 1
-    start = PartialState.zero(s.rest).tensor(s.psi)
-    suffix = dataclasses.replace(c, layers=c.layers[c.depth() - s.k :])
-    p1 = run(suffix, start).restricted_probability(c.target, 1)
-    assert abs(result.readings[0][0] - p1) <= 1e-15
 
 
 def test_strip_killed_removes_only_killed_gates():
@@ -690,6 +585,14 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: {**obj, "readings": obj["readings"] + [0.0]},
         lambda obj: {**obj, "reference_readings": obj["reference_readings"][:1]},
         lambda obj: {**obj, "readings": [False, False]},
+        lambda obj: {**obj, "mode": "banana"},
+        lambda obj: edit_step(obj, k=True),
+        lambda obj: edit_step(obj, committed=["a"]),
+        lambda obj: edit_step(obj, fresh=[0.0]),
+        lambda obj: edit_kill(obj, via="banana"),
+        lambda obj: edit_kill(obj, pinned_wire=2.5),
+        lambda obj: edit_kill(obj, layer=False),
+        lambda obj: edit_kill(obj, wires=["0", 1]),
     ],
     ids=[
         "array",
@@ -703,15 +606,120 @@ def test_certificate_json_roundtrip_byte_exact():
         "three-readings",
         "one-reference-reading",
         "bool-readings",
+        "mode",
+        "bool-k",
+        "string-committed",
+        "float-fresh",
+        "via",
+        "fractional-pinned-wire",
+        "bool-layer",
+        "string-kill-wire",
     ],
 )
 def test_certificate_from_json_refuses_a_malformed_document(edit):
     """A certificate is read from outside the program: a document of the
-    wrong shape is refused with ``ValueError``, not a crash of another type."""
-    c = random_single_qubit_z_circuit(10, 0, 3, np.random.default_rng(4))
+    wrong shape is refused with ``ValueError``, not a crash of another type.
+    That includes a ``mode`` other than basic or improved, a ``via`` the
+    construction never writes, and history integers that are not ints."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):
         certificate_from_json(json.dumps(edit(obj)))
+
+
+def edit_step(obj, step=0, **fields):
+    """The document with ``fields`` replaced in history entry ``step``."""
+    history = [dict(e) for e in obj["history"]]
+    history[step].update(fields)
+    return {**obj, "history": history}
+
+
+def edit_kill(obj, **fields):
+    """The document with ``fields`` replaced in its first kill record."""
+    step = next(i for i, e in enumerate(obj["history"]) if e["killed"])
+    killed = obj["history"][step]["killed"]
+    return edit_step(obj, step, killed=[{**killed[0], **fields}, *killed[1:]])
+
+
+def golden_certificates():
+    """(analyzed circuit, circuit, document) of every not-parity and
+    not-fanout certificate in ``tests/data/golden.json``."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name, c in _certificate_circuits().items():
+        for mode in ("basic", "improved"):
+            for against in ("parity", "fanout"):
+                text = golden[f"certificate {name} {mode} {against}"]
+                if text.startswith("{") and json.loads(text)["verdict"] != "inconclusive":
+                    yield adversary.analyzed_circuit(c, against), c, json.loads(text)
+
+
+def history_edits(obj, analyzed):
+    """(name, document) of each edit of the kill history that a recheck must
+    refuse: an empty history, one without its last step, and per step a
+    dropped and an added committed wire, a removed kill record, the pin moved
+    to the gate's other wire, a kill pointed at a gate that is not a Z-gate,
+    and the step swapped with the next one."""
+    history = obj["history"]
+    yield "empty", {**obj, "history": []}
+    yield "truncated", {**obj, "history": history[:-1]}
+    non_z = [
+        (i, j)
+        for i, layer in enumerate(analyzed.layers)
+        for j, g in enumerate(layer.gates)
+        if not isinstance(g, ZGate)
+    ]
+    for step, e in enumerate(history):
+        committed = e["committed"]
+        yield f"step {step}: drop wire", edit_step(obj, step, committed=committed[:-1])
+        extra = min(set(range(analyzed.wires)) - set(committed), default=None)
+        if extra is not None:
+            added = sorted([*committed, extra])
+            yield f"step {step}: add wire {extra}", edit_step(obj, step, committed=added)
+        if step + 1 < len(history):
+            swapped = [*history[:step], history[step + 1], e, *history[step + 2 :]]
+            yield f"steps {step}, {step + 1} swapped", {**obj, "history": swapped}
+        if not e["killed"]:
+            continue
+        first, *others = e["killed"]
+        yield f"step {step}: kill removed", edit_step(obj, step, killed=others)
+        for wire in first["wires"]:
+            if wire != first["pinned_wire"]:
+                moved = {**first, "pinned_wire": wire}
+                yield f"step {step}: pin moved to {wire}", edit_step(obj, step, killed=[moved, *others])
+                break
+        if non_z:
+            layer, j = min(non_z, key=lambda lj: lj[0] != first["layer"])
+            at = {**first, "layer": layer, "gate_index": j}
+            yield f"step {step}: kill at non-Z gate", edit_step(obj, step, killed=[at, *others])
+
+
+def test_recheck_refuses_every_edit_of_a_golden_kill_history():
+    """Every decisive golden certificate rechecks, and no edit of its kill
+    history does: each edit is refused when parsed or fails the recheck.
+    The edited history is parsed from a document with a one-amplitude
+    witness, since the witness of a wide K takes most of the parse."""
+    count = 0
+    for analyzed, c, obj in golden_certificates():
+        cert = certificate_from_json(json.dumps(obj))
+        assert recheck_certificate(cert, c)
+        small = {"wires": [], "amps": [[1.0, 0.0]]}
+        for name, edited in history_edits(obj, analyzed):
+            assert edited["history"] != obj["history"]
+            try:
+                history = certificate_from_json(json.dumps({**edited, "witness": small})).history
+            except ValueError:
+                continue
+            assert not recheck_certificate(dataclasses.replace(cert, history=history), c), name
+            count += 1
+    assert count > 1000
+
+
+def test_recheck_refuses_an_inconclusive_certificate_with_readings():
+    c = rewrite_toffoli_to_z(build_parity_logdepth(4))
+    cert = parity_certificate(c, "improved")
+    assert cert.verdict == "inconclusive" and recheck_certificate(cert, c)
+    for edit in ({"reference_readings": (0.5, 0.5)}, {"readings": (0.0, 0.0)}):
+        assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
 
 
 def test_recheck_rejects_wrong_circuit():
@@ -785,6 +793,15 @@ def _reference_moved(first, second):
         ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}),
         ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}),
         ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}),
+        (
+            (12, 0, 4),
+            lambda cert: {
+                "verdict": "inconclusive",
+                "free_input": None,
+                "readings": None,
+                "reference_readings": None,
+            },
+        ),
     ],
     ids=[
         "verdict",
@@ -802,6 +819,7 @@ def _reference_moved(first, second):
         "third-reading",
         "third-reference-reading",
         "one-reading",
+        "inconclusive-with-a-free-input",
     ],
 )
 def test_recheck_rejects_edited_claims(shape, edit):
@@ -812,7 +830,8 @@ def test_recheck_rejects_edited_claims(shape, edit):
     reading must match the recomputed one within ``READING_TOL``, and the
     reference readings must sum to 1, which two readings each raised by
     less than the tolerance do not. A witness wire must be an int the
-    circuit has, and each readings tuple must hold exactly two numbers."""
+    circuit has, and each readings tuple must hold exactly two numbers. An
+    inconclusive verdict is refused while an input lies outside the witness."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)

@@ -292,12 +292,6 @@ def test_adversary_selfcheck_runs_the_construction_once(random12, monkeypatch, c
     assert len(calls) == 1
 
 
-def test_adversary_selfcheck_refuses_negative_trials(random12, capsys):
-    code = main(["adversary", "--circuit", str(random12), "--selfcheck", "--trials", "-1"])
-    assert code == 2
-    assert "trials must be >= 0, got -1" in capsys.readouterr().err
-
-
 def test_lightcone_too_wide_cone_is_a_verdict_without_allocating(tmp_path, capsys):
     path = tmp_path / "wide41.json"
     gate = {"kind": "z", "wires": list(range(40))}

@@ -26,10 +26,10 @@ from qshallow import (
     rewrite_toffoli_to_z,
     run,
     serialize_circuit,
-    strip_killed,
-    verify_kill,
 )
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
+
+from kill_oracle import strip_killed, two_suffix_verify_kill
 import qshallow.sim as sim
 from qshallow.sim import (
     BLOCK_AMPS,
@@ -712,26 +712,27 @@ def test_basis_runs_straddle_block_boundaries(extra):
 @pytest.mark.parametrize("seed", (16, 23))
 @pytest.mark.parametrize("trials", (6, 7, 8, 20))
 def test_verify_kill_batch_matches_per_state_runs(seed, trials):
-    """12 wires give 8 columns per block, so these trial counts straddle a
-    block boundary; the readings must match one run per rest state, drawn
-    from the same generator in the same order. A random witness makes the
-    readings depend on the rest state (a true witness reads ~0 on all);
-    these seeds give circuits where they do."""
+    """The sampled witness check (the tests' oracle for ``verify_kill``) runs
+    its rest states as the columns of blocks. 12 wires give 8 columns per
+    block, so these trial counts straddle a block boundary; the readings must
+    match one run per rest state, drawn from the same generator in the same
+    order. A random witness makes the readings depend on the rest state (a
+    true witness reads ~0 on all); these seeds give circuits where they do."""
     rng = np.random.default_rng(seed)
     c = random_single_qubit_z_circuit(12, 0, 4, rng)
     s = kill_run(c, "basic")
     s = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, rng))
-    result = verify_kill(c, s, trials=trials, seed=9)
-    full_readings = [p_full for p_full, _ in result.readings]
-    assert not result.ok and max(full_readings) - min(full_readings) > 0.01
+    result = two_suffix_verify_kill(c, s, trials, seed=9)
+    full_readings = [p_full for p_full, _ in result["readings"]]
+    assert not result["ok"] and max(full_readings) - min(full_readings) > 0.01
 
     draws = np.random.default_rng(9)
     rests = [PartialState.zero(s.rest)]
     rests += [PartialState.random(s.rest, draws) for _ in range(trials)]
-    assert result.trials == len(rests)
+    assert result["trials"] == len(rests)
     stripped = strip_killed(c, s.killed)
     diffs = []
-    for (p_full, p_killed), rest in zip(result.readings, rests):
+    for (p_full, p_killed), rest in zip(result["readings"], rests):
         start = rest.tensor(s.psi)
         suffix = slice(c.depth() - s.k, None)
         full = run(dataclasses.replace(c, layers=c.layers[suffix]), start)
@@ -739,7 +740,7 @@ def test_verify_kill_batch_matches_per_state_runs(seed, trials):
         assert abs(p_full - full.restricted_probability(c.target, 1)) <= TOL
         assert abs(p_killed - killed.restricted_probability(c.target, 1)) <= TOL
         diffs.append(np.abs(full.amps - killed.amps).max())
-    assert abs(result.max_state_diff - max(diffs)) <= TOL and max(diffs) > 0.01
+    assert abs(result["max_state_diff"] - max(diffs)) <= TOL and max(diffs) > 0.01
 
 
 # -- real arithmetic -----------------------------------------------------------

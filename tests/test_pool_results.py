@@ -1,12 +1,15 @@
-"""``verify_kill`` and ``verify_clean`` on the benchmark's seed-0 pools.
+"""The witness checks and ``verify_clean`` on the benchmark's seed-0 pools.
 
 The circuits are drawn here exactly as ``bench/workloads.py`` draws the
 kill-campaign and oracle-sweep pools for seed 0 (warm-up pass included), and
 each one's ``circuit_sha256`` is pinned, so a change to the draws fails
 loudly instead of comparing other circuits. ``tests/data/pool_results.json``
 holds every result as the simulator computed it before sign flips merged and
-exact inverse pairs cancelled at compile time. The floats must agree within
-``TOL`` and everything else exactly, except ``verify_clean``'s
+exact inverse pairs cancelled at compile time. Its ``verify_kill`` records
+are the sampled check that the exact replay replaced: the sampled oracle
+(``kill_oracle.two_suffix_verify_kill``) must still reproduce them, and the
+replay, ``verify_kill``, must agree with each record's ``ok``. The floats
+must agree within ``TOL`` and everything else exactly, except ``verify_clean``'s
 ``max_deviation``: on a circuit that computes its operator it is the rounding
 residue of the whole run, which fewer contractions make smaller, so it may
 fall but not grow by more than ``TOL``.
@@ -35,6 +38,8 @@ from qshallow import (
     verify_kill,
 )
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
+
+from kill_oracle import two_suffix_verify_kill
 
 DATA = pathlib.Path(__file__).parent / "data" / "pool_results.json"
 TOL = 1e-15
@@ -74,14 +79,7 @@ def generate() -> dict[str, list]:
     for c, seed in kill_campaign_cases():
         case = {"sha256": circuit_sha256(c), "seed": seed}
         for mode in ("basic", "improved"):
-            r = verify_kill(c, kill_run(c, mode), trials=KILL_TRIALS, seed=seed)
-            case[mode] = {
-                "ok": r.ok,
-                "trials": r.trials,
-                "readings": [list(pair) for pair in r.readings],
-                "max_p1": r.max_p1,
-                "max_state_diff": r.max_state_diff,
-            }
+            case[mode] = two_suffix_verify_kill(c, kill_run(c, mode), KILL_TRIALS, seed)
         kill.append(case)
     clean = []
     for c, against in oracle_sweep_cases():
@@ -121,6 +119,15 @@ def assert_close(actual, expected, where: str) -> None:
 def test_pool_results_match_recorded_data():
     expected = json.loads(DATA.read_text(encoding="utf-8"))
     assert_close(generate(), expected, "pool")
+
+
+def test_verify_kill_agrees_with_every_recorded_ok():
+    expected = json.loads(DATA.read_text(encoding="utf-8"))["verify_kill"]
+    cases = list(kill_campaign_cases())
+    assert len(cases) == len(expected)
+    for (c, _), record in zip(cases, expected):
+        for mode in ("basic", "improved"):
+            assert verify_kill(c, kill_run(c, mode)).ok == record[mode]["ok"], (record, mode)
 
 
 if __name__ == "__main__":
