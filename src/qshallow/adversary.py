@@ -40,27 +40,10 @@ from typing import Iterable
 import numpy as np
 
 from ._version import __version__
-from .circuits import (
-    Circuit,
-    Gate,
-    Layer,
-    MeasurementSpec,
-    ZGate,
-    backward_cone,
-    circuit_sha256,
-    is_single_qubit_z_circuit,
-)
+from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
 from .reference import OpKind, conjugate_parity_to_fanout, parity_mask
-from .sim import (
-    READING_TOL,
-    PartialState,
-    TargetReading,
-    adjoint_gate,
-    apply_layer,
-    index_map,
-    read_target,
-    run,
-)
+from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer, index_map
+from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
 Mode = str  # "basic" | "improved"
@@ -313,10 +296,10 @@ class KillCertificate:
 
     ``free_input`` is an input wire outside the final committed set; the two
     test inputs are all-zeros over the uncommitted wires and the same with
-    ``free_input`` flipped, each tensored with the witness. ``readings`` are
-    the circuit's target probabilities on them (both must be ~0), while
-    ``reference_readings`` are the parity operator's on the same states
-    (they sum to 1, so at least one is far from the circuit's).
+    ``free_input`` flipped, each tensored with the witness. ``readings``
+    holds the replay's final target reading (:func:`verify_kill`, ~0) once
+    per input, as it holds on both, while ``reference_readings`` are the
+    parity operator's (they sum to 1, so one is far from the circuit's).
 
     ``ancilla_consistency`` reports whether the witness is |0> on every
     ancilla wire. When it is false, the verdict holds only for the witness's
@@ -344,26 +327,6 @@ def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
     parity; against fanout, its Hadamard conjugate, since a parity verdict on
     the conjugate is a fanout verdict on the circuit."""
     return conjugate_parity_to_fanout(c) if against == "fanout" else c
-
-
-def flip_pair(
-    c: Circuit, m: MeasurementSpec, psi: PartialState, free_input: int
-) -> tuple[tuple[TargetReading, TargetReading], tuple[float, float]]:
-    """The two-input check that ends every no-side argument. The inputs are
-    all-zeros over the wires ``psi`` leaves out, tensored with ``psi``, and
-    the same with the input wire ``free_input`` (outside ``psi``) set.
-    Returns the circuit's readings of the measured wire on both inputs, then
-    the parity operator's (:func:`_parity_readings`).
-
-    Only the measured wire's backward cone is simulated: its gates, on the
-    cone's wires outside ``psi`` tensored with ``psi``."""
-    sets, cone = backward_cone(c, m.wire)
-    rest = tuple(w for w in sets[-1] if w not in psi.wires)
-    readings = [
-        read_target(run(cone, PartialState.basis(rest, bits).tensor(psi)), m)
-        for bits in ({}, {free_input: 1})
-    ]
-    return (readings[0], readings[1]), _parity_readings(psi, m.wire, c.n)
 
 
 def _parity_readings(psi: PartialState, measured: int, n: int) -> tuple[float, float]:
@@ -397,21 +360,18 @@ def parity_certificate(
 
 def package_certificate(c: Circuit, s: KillState, against: OpKind) -> KillCertificate:
     """Package a finished construction ``s`` on ``analyzed_circuit(c,
-    against)``: pick the first free input and replay its flip pair."""
+    against)``: replay its witness (:func:`verify_kill`) and pick the first
+    free input. The replay proves that the target reads its final reading
+    whatever the uncommitted wires hold, so on both flip inputs."""
     analyzed = analyzed_circuit(c, against)
-    free_inputs = [w for w in s.rest if w < analyzed.n]
-    free_input = free_inputs[0] if free_inputs else None
+    check = verify_kill(analyzed, s)
+    if not check.ok:
+        raise InvariantError(f"witness failed: the replay refused it (max reading {check.max_p1})")
+    free_input = next((w for w in s.rest if w < analyzed.n), None)
     readings = reference_readings = None
     if free_input is not None:
-        pair, reference_readings = flip_pair(
-            analyzed, MeasurementSpec(analyzed.target), s.psi, free_input
-        )
-        for reading, name in zip(pair, ("baseline", "flipped")):
-            if reading.p1 > READING_TOL:
-                raise InvariantError(
-                    f"witness failed: target reading {reading.p1} on {name} input"
-                )
-        readings = (pair[0].p1, pair[1].p1)
+        readings = (check.target_p1, check.target_p1)
+        reference_readings = _parity_readings(s.psi, analyzed.target, analyzed.n)
     return KillCertificate(
         version=__version__,
         circuit_sha256=circuit_sha256(c),
@@ -480,16 +440,23 @@ def _history_entry(e: dict) -> KillHistoryEntry:
 
 def certificate_from_json(text: str) -> KillCertificate:
     """Parse a certificate document. One that is not a JSON object of the
-    shape :func:`certificate_to_json` writes raises ``ValueError``; so do a
-    ``mode`` other than basic or improved, a malformed ``history`` entry
-    (:func:`_history_entry`), and ``readings`` or ``reference_readings``
-    other than null or two numbers. A non-finite reading parses, and fails
-    :func:`recheck_certificate`."""
+    shape :func:`certificate_to_json` writes, with no other field, raises
+    ``ValueError``; so do a ``version`` other than this package's, a
+    ``mode`` other than basic or improved, a non-bool ``ancilla_consistency``,
+    a malformed ``history`` entry (:func:`_history_entry`), and ``readings``
+    or ``reference_readings`` other than null or two numbers. A non-finite
+    reading parses, and fails :func:`recheck_certificate`."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("malformed kill certificate: not a JSON object")
     if obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
+    unknown = set(obj) - {
+        "format", "version", "circuit_sha256", "against", "mode", "history", "witness",
+        "free_input", "readings", "reference_readings", "ancilla_consistency", "verdict",
+    }
+    if unknown:
+        raise ValueError(f"malformed kill certificate: unknown fields {sorted(unknown)}")
     for field in ("readings", "reference_readings"):
         if field in obj and obj[field] is not None and not _reading_pair(obj[field]):
             raise ValueError(
@@ -497,6 +464,10 @@ def certificate_from_json(text: str) -> KillCertificate:
             )
     try:
         _check_mode(obj["mode"])
+        if obj["version"] != __version__:
+            raise ValueError(f"version {obj['version']!r}, expected {__version__!r}")
+        if not isinstance(obj["ancilla_consistency"], bool):
+            raise ValueError(f"ancilla_consistency {obj['ancilla_consistency']!r} is not a bool")
         return KillCertificate(
             version=obj["version"],
             circuit_sha256=obj["circuit_sha256"],
@@ -527,14 +498,14 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     the witness, so every ``committed``, ``fresh`` and ``killed`` claim is
     checked. An inconclusive verdict has no free input and no readings, and
     its witness covers every input; any other is ``not-{against}``, with an
-    input wire outside the witness as free input. The replay proves that the target reads the same whatever
-    the uncommitted wires hold, so both stored circuit readings must lie
-    within ``READING_TOL`` of its final target reading. The parity readings
-    come from the witness alone (:func:`_parity_readings`); the stored ones
-    must match them and sum to 1. A malformed witness (wires out of order or
-    not ints in ``range(c.wires)``, an amplitude count other than
-    2**len(wires), a norm other than 1), or stored readings other than two
-    numbers each, fail the recheck."""
+    input wire outside the witness as free input. The replay proves that the
+    target reads the same whatever the uncommitted wires hold, so both stored
+    readings must lie within ``READING_TOL`` of its final target reading.
+    The parity readings come from the witness alone (:func:`_parity_readings`);
+    the stored ones must match them and sum to 1. A malformed witness (wires
+    out of order or not ints in ``range(c.wires)``, an amplitude count other
+    than 2**len(wires), a norm other than 1), or stored readings other than
+    two numbers each, fail the recheck."""
     if (
         circuit_sha256(c) != cert.circuit_sha256
         or cert.against not in ("parity", "fanout")

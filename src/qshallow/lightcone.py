@@ -5,7 +5,8 @@ influence a single measured wire grows by at most a factor of the maximum
 gate arity k per layer. When the deepest set still misses some input wire,
 that wire provably cannot affect the measurement, while parity's output
 depends on every input: ``check_depth_bound`` reads that verdict off the
-cone, and ``lightcone_counterexample`` illustrates it with simulated readings.
+cone. ``lightcone_counterexample`` illustrates it with the one flip pair the
+package still simulates: the cone's gates, run on the cone's wires.
 
 Set indexing follows the measurement outward: ``sets[0]`` is the support at
 the output layer and ``sets[-1]`` the full cone at the input side.
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import analyzed_circuit, flip_pair
+from .adversary import analyzed_circuit
 from .circuits import Circuit, MeasurementSpec, backward_cone
 from .reference import OpKind
-from .sim import PartialState, TargetReading
+from .sim import PartialState, TargetReading, read_target, run
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,21 @@ def lightcone_counterexample(
 ) -> LightconePair | None:
     """Disprove that the circuit computes parity (or, via Hadamard
     conjugation, fanout) by exhibiting a free input wire: the circuit's
-    target reading ignores the flip, the reference operator's does not.
-    Returns None when the lightcone covers every input (no verdict)."""
+    target reading ignores the flip, the reference operator's does not. The
+    inputs are all-zero and the same with the free input set, so parity reads
+    (0, 1) off the bits. Returns None when the lightcone covers every input
+    (no verdict)."""
     c = analyzed_circuit(c, against)
     report = lightcone(c, m)
     if not report.free_inputs:
         return None
     flip = report.free_inputs[0]
-    readings, parity = flip_pair(c, m, PartialState.zero(()), flip)
-    return LightconePair(x=(0,) * c.n, flip_wire=flip, readings=readings, parity_readings=parity)
+    _, cone = backward_cone(c, m.wire)
+    readings = tuple(
+        read_target(run(cone, PartialState.basis(report.sets[-1], bits)), m)
+        for bits in ({}, {flip: 1})
+    )
+    return LightconePair((0,) * c.n, flip, readings, parity_readings=(0.0, 1.0))
 
 
 def check_depth_bound(c: Circuit, against: OpKind = "parity") -> DepthBoundVerdict:

@@ -555,6 +555,32 @@ def test_ancilla_consistency_flag():
     assert parity_certificate(clean, "improved").ancilla_consistency
 
 
+@pytest.mark.parametrize("mode", ["basic", "improved"])
+@pytest.mark.parametrize("against", ["parity", "fanout"])
+def test_certificate_path_simulates_no_whole_circuit(monkeypatch, mode, against):
+    """Building and rechecking a certificate reads the witness replay alone:
+    with the whole-circuit simulation refused, both still succeed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate path simulated a whole circuit")
+
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    monkeypatch.setattr(sim, "run", refuse)
+    monkeypatch.setattr(adversary, "run", refuse)
+    cert = parity_certificate(c, mode, against)
+    assert cert.verdict == f"not-{against}"
+    assert recheck_certificate(cert, c)
+
+
+def test_package_certificate_refuses_a_witness_the_replay_refuses():
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    s = kill_run(c, "improved")
+    bad = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, np.random.default_rng(1)))
+    assert not verify_kill(c, bad).ok
+    with pytest.raises(InvariantError, match="^witness failed: "):
+        adversary.package_certificate(c, bad, "parity")
+
+
 def test_certificate_json_roundtrip_byte_exact():
     rng = np.random.default_rng(4)
     c = random_single_qubit_z_circuit(10, 0, 3, rng)
@@ -593,6 +619,10 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: edit_kill(obj, pinned_wire=2.5),
         lambda obj: edit_kill(obj, layer=False),
         lambda obj: edit_kill(obj, wires=["0", 1]),
+        lambda obj: {**obj, "version": 5},
+        lambda obj: {**obj, "version": "9.9"},
+        lambda obj: {**obj, "extra": 1},
+        lambda obj: {**obj, "ancilla_consistency": 1},
     ],
     ids=[
         "array",
@@ -614,13 +644,19 @@ def test_certificate_json_roundtrip_byte_exact():
         "fractional-pinned-wire",
         "bool-layer",
         "string-kill-wire",
+        "int-version",
+        "unknown-version",
+        "extra-field",
+        "int-ancilla-consistency",
     ],
 )
 def test_certificate_from_json_refuses_a_malformed_document(edit):
     """A certificate is read from outside the program: a document of the
     wrong shape is refused with ``ValueError``, not a crash of another type.
     That includes a ``mode`` other than basic or improved, a ``via`` the
-    construction never writes, and history integers that are not ints."""
+    construction never writes, history integers that are not ints, a
+    ``version`` other than the package's, a field the writer never writes,
+    and an ``ancilla_consistency`` that is not a bool."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):

@@ -341,3 +341,14 @@ def test_verify_refuses_a_non_finite_matrix_entry(tmp_path, capsys, token, shown
     assert main(["verify", "--circuit", str(path), "--against", "parity"]) == 2
     err = capsys.readouterr().err
     assert f"layer 0, gate 0: non-finite matrix entry [0][0] = ({shown}+0j)" in err
+
+
+def test_adversary_at_n_1024_with_a_wide_cone_exits_1(tmp_path, capsys):
+    """The target's backward cone spans 34 wires, beyond the simulation
+    limit, while the committed set holds 12: the certificate comes from the
+    replay on the committed set alone, so the verdict does not need the cone."""
+    c = random_single_qubit_z_circuit(1024, 3, 6, np.random.default_rng(6))
+    path = tmp_path / "wide1024.json"
+    path.write_text(serialize_circuit(c))
+    assert main(["adversary", "--circuit", str(path), "--out", str(tmp_path / "cert.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: not-parity"

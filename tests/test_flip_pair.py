@@ -1,9 +1,11 @@
-"""The parity operator's readings on a verdict's two inputs, checked against
-a plain-Python XOR over basis indices that shares no code with the package:
-the certificate's ``reference_readings`` and the lightcone pair's
-``parity_readings``, with the measured wire at 0, at n-1 and on an ancilla.
-Also: ``flip_pair``, which simulates only the measured wire's backward cone,
-against a simulation over every wire, and smoke tests at paper scale."""
+"""The readings on a verdict's two flip inputs, checked against oracles that
+share no code with the verdict, with the measured wire at 0, at n-1 and on an
+ancilla. The parity operator's readings (the certificate's
+``reference_readings`` and the lightcone pair's ``parity_readings``) against
+a plain-Python XOR over basis indices; the circuit's (the certificate's
+``readings``, taken from the exact witness replay, and the lightcone pair's,
+simulated on the measured wire's backward cone) against a simulation over
+every wire. Also smoke tests at paper scale."""
 
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import pytest
 from qshallow import (
     MeasurementSpec,
     PartialState,
+    certificate_from_json,
+    certificate_to_json,
     is_single_qubit_z_circuit,
     kill_run,
     lightcone_counterexample,
@@ -23,7 +27,7 @@ from qshallow import (
     recheck_certificate,
     run,
 )
-from qshallow.adversary import analyzed_circuit, flip_pair
+from qshallow.adversary import _parity_readings, analyzed_circuit, package_certificate
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
@@ -96,9 +100,8 @@ def _full_reading(c, m, psi, bits):
 
 
 def _cone_cases(where, against):
-    """Flip-pair inputs on circuits of at most 12 wires from both ensembles:
-    the witness of a kill run (Z ensemble only) and a random psi over a
-    random wire subset, each with an input wire outside psi to flip."""
+    """(circuit, analyzed circuit, measurement, the draw's generator) on
+    circuits of 11 wires from both ensembles, four draws each."""
     n, a = 9, 2
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
@@ -106,29 +109,41 @@ def _cone_cases(where, against):
             random_single_qubit_z_circuit(n, a, 4, rng),
             random_bounded_arity_circuit(n, a, 3, rng),
         ):
-            c = analyzed_circuit(dataclasses.replace(c, target=_measured_wire(where, n)), against)
-            m = MeasurementSpec(c.target)
-            if is_single_qubit_z_circuit(c):
-                psi = kill_run(c, "basic").psi
-                yield c, m, psi, min(w for w in range(n) if w not in psi.wires)
-            wires = rng.choice(c.wires, size=int(rng.integers(0, 5)), replace=False)
-            psi = PartialState.random(wires.tolist(), rng)
-            yield c, m, psi, min(w for w in range(n) if w not in psi.wires)
+            c = dataclasses.replace(c, target=_measured_wire(where, n))
+            yield c, analyzed_circuit(c, against), MeasurementSpec(c.target), rng
 
 
 @pytest.mark.parametrize("where", MEASURED)
 @pytest.mark.parametrize("against", ["parity", "fanout"])
 def test_cone_flip_pair_matches_full_simulation(where, against):
-    checked = 0
-    for c, m, psi, flip in _cone_cases(where, against):
-        readings, parity = flip_pair(c, m, psi, flip)
-        for reading, bits in zip(readings, ({}, {flip: 1})):
-            assert reading.p1 == pytest.approx(_full_reading(c, m, psi, bits), abs=1e-12)
-        for reading, flipped in zip(parity, (None, flip)):
+    """Three oracle checks on each draw's flip pairs, within 1e-12: a kill-run
+    witness's certificate ``readings`` (Z ensemble only) and the lightcone
+    pair's readings against a simulation over every wire, and
+    ``_parity_readings`` around a random psi on a random wire subset against
+    the plain XOR."""
+    witnesses = pairs = 0
+    for c, analyzed, m, rng in _cone_cases(where, against):
+        if is_single_qubit_z_circuit(c):
+            s = kill_run(analyzed, "basic")
+            cert = package_certificate(c, s, against)
+            for reading, bits in zip(cert.readings, ({}, {cert.free_input: 1})):
+                assert reading == pytest.approx(_full_reading(analyzed, m, s.psi, bits), abs=1e-12)
+            witnesses += 1
+        pair = lightcone_counterexample(c, m, against)
+        if pair is not None:
+            empty = PartialState.zero(())
+            for reading, bits in zip(pair.readings, ({}, {pair.flip_wire: 1})):
+                assert reading.p1 == pytest.approx(
+                    _full_reading(analyzed, m, empty, bits), abs=1e-12
+                )
+            pairs += 1
+        wires = rng.choice(c.wires, size=int(rng.integers(0, 5)), replace=False)
+        psi = PartialState.random(wires.tolist(), rng)
+        flip = min(w for w in range(c.n) if w not in psi.wires)
+        for reading, flipped in zip(_parity_readings(psi, m.wire, c.n), (None, flip)):
             expected = plain_parity_reading(c.n, m.wire, psi.wires, psi.amps, flipped)
             assert reading == pytest.approx(expected, abs=1e-12)
-        checked += 1
-    assert checked == 12
+    assert (witnesses, pairs) == (4, 8)
 
 
 def test_lightcone_pair_at_n_1024():
@@ -142,3 +157,14 @@ def test_certificate_at_n_1000_rechecks():
     cert = parity_certificate(c)
     assert cert.verdict == "not-parity"
     assert recheck_certificate(cert, c)
+
+
+@pytest.mark.parametrize("depth, seed", [(4, 9), (6, 1), (6, 6), (6, 9)])
+def test_certificate_at_n_1024_beyond_the_cone_limit(depth, seed):
+    """a=3 draws whose target cone spans 25 to 34 wires, beyond the
+    simulation limit, while the committed set holds 5 to 12: the certificate
+    needs only the replay on the committed set."""
+    c = random_single_qubit_z_circuit(1024, 3, depth, np.random.default_rng(seed))
+    cert = parity_certificate(c)
+    assert cert.verdict == "not-parity"
+    assert recheck_certificate(certificate_from_json(certificate_to_json(cert)), c)

@@ -177,16 +177,9 @@ def test_verdicts_run_no_simulation(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a lightcone verdict simulated the circuit")
 
-    adversary = importlib.import_module("qshallow.adversary")
-    lightcone_module = importlib.import_module("qshallow.lightcone")
     sim = importlib.import_module("qshallow.sim")
-    for module, name in (
-        (adversary, "flip_pair"),
-        (lightcone_module, "flip_pair"),
-        (sim, "run"),
-        (sim, "apply_gate"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("run", "apply_gate"):
+        monkeypatch.setattr(sim, name, refuse)
     c = random_bounded_arity_circuit(8, 0, 2, np.random.default_rng(1), max_arity=2)
     assert check_depth_bound(c, "parity").verdict == "not-parity"
     assert check_depth_bound(c, "fanout").verdict == "not-fanout"
