@@ -32,6 +32,7 @@ layer (k = depth).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -306,6 +307,11 @@ class KillCertificate:
     state class: the clean-computation premise constrains the circuit on
     ancillae-|0> inputs only, so a disagreement reached through an
     ancillae-excited witness is flagged rather than taken as unconditional.
+
+    A certificate that exists is well-formed: constructing one, also by
+    :func:`certificate_from_json` or ``dataclasses.replace``, refuses a shape
+    the construction never writes with ``ValueError("malformed kill
+    certificate: …")``. :func:`recheck_certificate` checks what it claims.
     """
 
     version: str
@@ -320,6 +326,37 @@ class KillCertificate:
     reference_readings: tuple[float, float] | None
     ancilla_consistency: bool
     verdict: str  # "not-parity" | "not-fanout" | "inconclusive"
+
+    def __post_init__(self) -> None:
+        def require(holds: bool, rule: str) -> None:
+            if not holds:
+                raise ValueError(f"malformed kill certificate: {rule}")
+
+        wires, amps = self.psi_wires, self.psi_amps
+        kills = [r for e in self.history for r in e.killed]
+        ints = [v for e in self.history for v in (e.k, *e.committed, *e.fresh)]
+        ints += [v for r in kills for v in (r.layer, r.gate_index, r.pinned_wire, *r.wires)]
+        ints += [*wires] if self.free_input is None else [*wires, self.free_input]
+        # Each rule is tested only once the ones before it hold.
+        require(self.version == __version__, f"version must be {__version__!r}")
+        require(self.against in ("parity", "fanout"), "against must be parity or fanout")
+        require(self.mode in ("basic", "improved"), "mode must be basic or improved")
+        vias = ("base-zero", "fresh-zero", "recruited")
+        require(all(r.via in vias for r in kills), f"each kill's via must be one of {vias}")
+        ints_ok = all(type(v) is int for v in ints)  # a bool is not an int
+        require(ints_ok, "wires and history integers must be ints")
+        require(all(v < w for v, w in zip(wires, wires[1:])), "witness wires must ascend")
+        require(len(amps) == 2 ** len(wires), "the witness needs 2**len(wires) amplitudes")
+        require(set(map(type, amps)) <= {complex}, "witness amplitudes must be complex")
+        for p in (self.readings, self.reference_readings):
+            pair = type(p) is tuple and len(p) == 2 and _numbers(p)
+            require(p is None or pair, "readings must each be None or two numbers")
+        require(type(self.ancilla_consistency) is bool, "ancilla_consistency must be a bool")
+
+
+def _numbers(values: Iterable[object]) -> bool:
+    """Whether every value is an int or a float (a bool is neither)."""
+    return set(map(type, values)) <= {int, float}
 
 
 def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
@@ -409,152 +446,105 @@ def certificate_to_json(cert: KillCertificate) -> str:
     return json.dumps(obj, indent=1)
 
 
-def _reading_pair(value: object) -> bool:
-    """Whether a stored ``readings`` or ``reference_readings`` value is two
-    numbers (a bool is not one)."""
-    return (
-        isinstance(value, (tuple, list))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
+def _object(value: object, keys: str) -> dict:
+    """``value`` if it is a JSON object with exactly the space-separated ``keys``."""
+    if not isinstance(value, dict) or value.keys() != set(keys.split()):
+        raise ValueError(f"expected an object with exactly the keys {keys!r}")
+    return value
 
 
-def _history_entry(e: dict) -> KillHistoryEntry:
-    """One parsed ``history`` entry. Its integers must be ints (a bool is
-    not one), and each kill's ``via`` one the construction writes."""
-    entry = KillHistoryEntry(
-        k=e["k"],
-        committed=tuple(e["committed"]),
-        fresh=tuple(e["fresh"]),
-        killed=tuple(KillRecord(**{**r, "wires": tuple(r["wires"])}) for r in e["killed"]),
-    )
-    ints = [entry.k, *entry.committed, *entry.fresh]
-    for r in entry.killed:
-        ints += [r.layer, r.gate_index, r.pinned_wire, *r.wires]
-    if not all(type(v) is int for v in ints):
-        raise ValueError(f"history integers must be ints: {e!r}")
-    if any(r.via not in ("base-zero", "fresh-zero", "recruited") for r in entry.killed):
-        raise ValueError(f"unknown kill via in {e!r}")
-    return entry
+def _array(value: object) -> tuple:
+    """``value`` as a tuple if it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, got {type(value).__name__}")
+    return tuple(value)
 
 
 def certificate_from_json(text: str) -> KillCertificate:
-    """Parse a certificate document. One that is not a JSON object of the
-    shape :func:`certificate_to_json` writes, with no other field, raises
-    ``ValueError``; so do a ``version`` other than this package's, a
-    ``mode`` other than basic or improved, a non-bool ``ancilla_consistency``,
-    a malformed ``history`` entry (:func:`_history_entry`), and ``readings``
-    or ``reference_readings`` other than null or two numbers. A non-finite
-    reading parses, and fails :func:`recheck_certificate`."""
+    """Parse a certificate document: map the JSON :func:`certificate_to_json`
+    writes onto :class:`KillCertificate`, whose construction checks the rest
+    of the shape. Each object (the document, ``witness``, a history entry, a
+    kill record) must have exactly the keys the writer writes, each list
+    must be a JSON array, and each amplitude two numbers; anything else
+    raises ``ValueError("malformed kill certificate: …")``. A non-finite
+    reading or amplitude parses, and fails :func:`recheck_certificate`."""
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("malformed kill certificate: not a JSON object")
-    if obj.get("format") != "kill-certificate":
+    if isinstance(obj, dict) and obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
-    unknown = set(obj) - {
-        "format", "version", "circuit_sha256", "against", "mode", "history", "witness",
-        "free_input", "readings", "reference_readings", "ancilla_consistency", "verdict",
-    }
-    if unknown:
-        raise ValueError(f"malformed kill certificate: unknown fields {sorted(unknown)}")
-    for field in ("readings", "reference_readings"):
-        if field in obj and obj[field] is not None and not _reading_pair(obj[field]):
-            raise ValueError(
-                f"malformed kill certificate: {field} must be two numbers, got {obj[field]!r}"
-            )
     try:
-        _check_mode(obj["mode"])
-        if obj["version"] != __version__:
-            raise ValueError(f"version {obj['version']!r}, expected {__version__!r}")
-        if not isinstance(obj["ancilla_consistency"], bool):
-            raise ValueError(f"ancilla_consistency {obj['ancilla_consistency']!r} is not a bool")
-        return KillCertificate(
-            version=obj["version"],
-            circuit_sha256=obj["circuit_sha256"],
-            against=obj["against"],
-            mode=obj["mode"],
-            history=tuple(map(_history_entry, obj["history"])),
-            psi_wires=tuple(obj["witness"]["wires"]),
-            psi_amps=tuple(complex(re, im) for re, im in obj["witness"]["amps"]),
-            free_input=obj["free_input"],
-            readings=tuple(obj["readings"]) if obj["readings"] is not None else None,
-            reference_readings=(
-                tuple(obj["reference_readings"])
-                if obj["reference_readings"] is not None
-                else None
-            ),
-            ancilla_consistency=obj["ancilla_consistency"],
-            verdict=obj["verdict"],
+        fields = dict(_object(obj, (
+            "format version circuit_sha256 against mode history witness free_input readings"
+            " reference_readings ancilla_consistency verdict"
+        )))
+        del fields["format"]
+        witness = _object(fields.pop("witness"), "wires amps")
+        fields["psi_wires"] = _array(witness["wires"])
+        amps = _array(witness["amps"])
+        pairs = all(isinstance(p, list) and len(p) == 2 for p in amps)
+        if not (pairs and _numbers(itertools.chain.from_iterable(amps))):
+            raise ValueError("each witness amplitude must be an array of two numbers")
+        fields["psi_amps"] = tuple(itertools.starmap(complex, amps))
+        for f in ("readings", "reference_readings"):
+            fields[f] = None if fields[f] is None else _array(fields[f])
+        # The dataclasses refuse a history entry or kill record with a missing or extra key.
+        fields["history"] = tuple(
+            KillHistoryEntry(**{
+                **e,
+                "committed": _array(e["committed"]),
+                "fresh": _array(e["fresh"]),
+                "killed": tuple(
+                    KillRecord(**{**r, "wires": _array(r["wires"])}) for r in _array(e["killed"])
+                ),
+            })
+            for e in _array(fields["history"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed kill certificate: {exc!r}") from exc
+    return KillCertificate(**fields)
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Independently check a certificate against a circuit: its hash, an
-    ``against`` of parity or fanout, a ``mode`` of basic or improved, and the
-    witness's ``ancilla_consistency``. The kill history must cover every
-    layer of the analyzed circuit, and :func:`verify_kill` replays it from
-    the witness, so every ``committed``, ``fresh`` and ``killed`` claim is
-    checked. An inconclusive verdict has no free input and no readings, and
-    its witness covers every input; any other is ``not-{against}``, with an
-    input wire outside the witness as free input. The replay proves that the
-    target reads the same whatever the uncommitted wires hold, so both stored
-    readings must lie within ``READING_TOL`` of its final target reading.
-    The parity readings come from the witness alone (:func:`_parity_readings`);
-    the stored ones must match them and sum to 1. A malformed witness (wires
-    out of order or not ints in ``range(c.wires)``, an amplitude count other
-    than 2**len(wires), a norm other than 1), or stored readings other than
-    two numbers each, fail the recheck."""
-    if (
-        circuit_sha256(c) != cert.circuit_sha256
-        or cert.against not in ("parity", "fanout")
-        or cert.mode not in ("basic", "improved")
-    ):
+    """Check what a well-formed certificate claims about a circuit: its hash,
+    witness wires of the circuit, a unit-norm witness, and the witness's
+    ``ancilla_consistency``. The verdict is inconclusive, with no free input
+    or readings and a witness that covers every input, or ``not-{against}``,
+    with readings and an input wire outside the witness as free input. The
+    kill history must cover every layer of the analyzed circuit, and
+    :func:`verify_kill` replays it from the witness, so every ``committed``,
+    ``fresh`` and ``killed`` claim is checked and the target reads the same
+    whatever the uncommitted wires hold: both stored readings must lie within
+    ``READING_TOL`` of its final reading. The parity readings must match the
+    witness's (:func:`_parity_readings`) and sum to 1."""
+    # The analyzed circuit has the same wires as c.
+    if circuit_sha256(c) != cert.circuit_sha256 or not set(cert.psi_wires) <= set(range(c.wires)):
         return False
     try:
         psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
-    except ValueError:
-        return False
-    # The analyzed circuit has the same wires as c; a bool is not a wire.
-    if not all(type(w) is int and w in range(c.wires) for w in psi.wires):
+    except ValueError:  # a norm other than 1
         return False
     if cert.ancilla_consistency != _ancilla_consistency(psi, c):
         return False
     analyzed = analyzed_circuit(c, cert.against)
-    if len(cert.history) != analyzed.depth():
+    if len(cert.history) != analyzed.depth() or cert.verdict not in (
+        "inconclusive", f"not-{cert.against}"
+    ):
         return False
     rest = tuple(w for w in range(c.wires) if w not in psi.wires)
     check = verify_kill(analyzed, KillState(cert.mode, rest, psi, cert.history))
     if not check.ok:
         return False
-    if cert.verdict == "inconclusive":  # no readings, and no input outside the witness
-        return (
-            cert.free_input is None
-            and cert.readings is None
-            and cert.reference_readings is None
-            and set(range(analyzed.n)) <= set(psi.wires)
-        )
-    if cert.verdict != f"not-{cert.against}":
+    claims = (cert.free_input, cert.readings, cert.reference_readings)
+    if cert.verdict == "inconclusive":  # no claims, and no input outside the witness
+        return claims == (None,) * 3 and set(range(analyzed.n)) <= set(psi.wires)
+    if None in claims or cert.free_input not in range(analyzed.n) or cert.free_input in psi.wires:
         return False
-    if not (_reading_pair(cert.readings) and _reading_pair(cert.reference_readings)):
-        return False
-    if (
-        type(cert.free_input) is not int
-        or cert.free_input not in range(analyzed.n)
-        or cert.free_input in psi.wires
-    ):
-        return False
+    stored = (*cert.readings, *cert.reference_readings)
     reference = _parity_readings(psi, analyzed.target, analyzed.n)
+    recomputed = (check.target_p1, check.target_p1, *reference)
     # Each check is written so that a NaN or an infinity anywhere fails it.
-    for i in range(2):
-        if not abs(cert.readings[i] - check.target_p1) <= READING_TOL:
-            return False
-        if not abs(reference[i] - cert.reference_readings[i]) <= READING_TOL:
-            return False
+    if not all(abs(v - w) <= READING_TOL for v, w in zip(stored, recomputed)):
+        return False
     # The parity operator's two readings complement each other; the larger one
     # certifies disagreement with the circuit's ~0 reading on that input.
     ref0, ref1 = cert.reference_readings
-    if not abs(ref0 + ref1 - 1.0) <= READING_TOL:
-        return False
-    return max(ref0, ref1) >= 0.5 - READING_TOL
+    return abs(ref0 + ref1 - 1.0) <= READING_TOL and max(ref0, ref1) >= 0.5 - READING_TOL

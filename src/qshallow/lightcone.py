@@ -89,12 +89,10 @@ def lightcone_counterexample(
     if not report.free_inputs:
         return None
     flip = report.free_inputs[0]
+    # The flip wire lies outside the cone, so both inputs run the same cone state.
     _, cone = backward_cone(c, m.wire)
-    readings = tuple(
-        read_target(run(cone, PartialState.basis(report.sets[-1], bits)), m)
-        for bits in ({}, {flip: 1})
-    )
-    return LightconePair((0,) * c.n, flip, readings, parity_readings=(0.0, 1.0))
+    reading = read_target(run(cone, PartialState.zero(report.sets[-1])), m)
+    return LightconePair((0,) * c.n, flip, (reading, reading), parity_readings=(0.0, 1.0))
 
 
 def check_depth_bound(c: Circuit, against: OpKind = "parity") -> DepthBoundVerdict:

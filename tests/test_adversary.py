@@ -623,6 +623,13 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: {**obj, "version": "9.9"},
         lambda obj: {**obj, "extra": 1},
         lambda obj: {**obj, "ancilla_consistency": 1},
+        lambda obj: edit_witness(obj, wires=["2", *obj["witness"]["wires"][1:]]),
+        lambda obj: edit_witness(obj, wires=[[2], *obj["witness"]["wires"][1:]]),
+        lambda obj: edit_witness(obj, wires=[None, *obj["witness"]["wires"][1:]]),
+        lambda obj: edit_step(obj, extra=1),
+        lambda obj: edit_witness(obj, extra=1),
+        lambda obj: edit_kill(obj, extra=1),
+        lambda obj: edit_witness(obj, amps=[[1.0, False], *obj["witness"]["amps"][1:]]),
     ],
     ids=[
         "array",
@@ -648,6 +655,13 @@ def test_certificate_json_roundtrip_byte_exact():
         "unknown-version",
         "extra-field",
         "int-ancilla-consistency",
+        "string-witness-wire",
+        "list-witness-wire",
+        "null-witness-wire",
+        "extra-history-key",
+        "extra-witness-key",
+        "extra-kill-key",
+        "bool-amplitude-part",
     ],
 )
 def test_certificate_from_json_refuses_a_malformed_document(edit):
@@ -655,8 +669,9 @@ def test_certificate_from_json_refuses_a_malformed_document(edit):
     wrong shape is refused with ``ValueError``, not a crash of another type.
     That includes a ``mode`` other than basic or improved, a ``via`` the
     construction never writes, history integers that are not ints, a
-    ``version`` other than the package's, a field the writer never writes,
-    and an ``ancilla_consistency`` that is not a bool."""
+    ``version`` other than the package's, a field the writer never writes
+    at any level, an ``ancilla_consistency`` that is not a bool, witness
+    wires that are not ints, and an amplitude part that is not a number."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):
@@ -668,6 +683,11 @@ def edit_step(obj, step=0, **fields):
     history = [dict(e) for e in obj["history"]]
     history[step].update(fields)
     return {**obj, "history": history}
+
+
+def edit_witness(obj, **fields):
+    """The document with ``fields`` replaced in its witness."""
+    return {**obj, "witness": {**obj["witness"], **fields}}
 
 
 def edit_kill(obj, **fields):
@@ -750,6 +770,81 @@ def test_recheck_refuses_every_edit_of_a_golden_kill_history():
     assert count > 1000
 
 
+def value_edits(value, wires):
+    """Replacements for one JSON value: a string, a list, an object, null
+    and both bools; for an int, a float and the wires -1 and ``wires``; for
+    a float, NaN. One that leaves the value equal, type included, is left
+    out."""
+    text = "x" if isinstance(value, (dict, list)) else repr(value)
+    edits = [text, [value], {}, None, True, False]
+    if type(value) is int:
+        edits += [float(value), -1, wires]
+    if type(value) is float:
+        edits.append(float("nan"))
+    return [e for e in edits if not (type(e) is type(value) and e == value)]
+
+
+def document_edits(node, wires):
+    """(path, edited node) for each edit of ``node``: its value replaced
+    (:func:`value_edits`); for an object, each key dropped, one key added,
+    and the edits of each value; for an array, the edits of its first
+    element."""
+    for value in value_edits(node, wires):
+        yield (), value
+    if isinstance(node, dict):
+        for key in node:
+            yield (f"-{key}",), {k: v for k, v in node.items() if k != key}
+        yield ("+extra",), {**node, "extra": 1}
+        for key, value in node.items():
+            for path, edited in document_edits(value, wires):
+                yield (key, *path), {**node, key: edited}
+    elif isinstance(node, list) and node:
+        for path, edited in document_edits(node[0], wires):
+            yield (0, *path), [edited, *node[1:]]
+
+
+def test_every_edit_of_a_golden_certificate_is_refused():
+    """Every golden certificate, decisive or inconclusive, rechecks; every
+    edit of :func:`document_edits` is refused with ``ValueError`` when
+    parsed or fails the recheck, and raises nothing else. A wide witness
+    would take most of the time, and the witness maps onto its fields
+    independently of the rest: so an edit that leaves the witness alone is
+    parsed with a one-amplitude witness, and the certificate's own is put
+    back with ``dataclasses.replace``, and the witness itself is edited
+    where it has at most 1024 amplitudes (162 of the 187 certificates)."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    small = {"wires": [], "amps": [[1.0, 0.0]]}
+    paths, rechecked = set(), 0
+    for name, c in _certificate_circuits().items():
+        for mode in ("basic", "improved"):
+            for against in ("parity", "fanout"):
+                text = golden[f"certificate {name} {mode} {against}"]
+                if not text.startswith("{"):
+                    continue
+                obj = json.loads(text)
+                cert = certificate_from_json(text)
+                assert recheck_certificate(cert, c)
+                for path, edited in document_edits(obj, c.wires):
+                    if path[:1] == ("witness",) and len(cert.psi_amps) > 1024:
+                        continue
+                    paths.add(tuple(p for p in path if p != 0))
+                    kept = isinstance(edited, dict) and edited.get("witness") is obj["witness"]
+                    doc = {**edited, "witness": small} if kept else edited
+                    try:
+                        parsed = certificate_from_json(json.dumps(doc))
+                        if kept:
+                            parsed = dataclasses.replace(
+                                parsed, psi_wires=cert.psi_wires, psi_amps=cert.psi_amps
+                            )
+                    except ValueError:
+                        continue
+                    assert not recheck_certificate(parsed, c), (name, mode, against, path)
+                    rechecked += 1
+    assert rechecked > 1000
+    # every level was reached: the document, the witness, a history entry and a kill record
+    assert {("witness", "amps"), ("history", "committed"), ("history", "killed", "via")} <= paths
+
+
 def test_recheck_refuses_an_inconclusive_certificate_with_readings():
     c = rewrite_toffoli_to_z(build_parity_logdepth(4))
     cert = parity_certificate(c, "improved")
@@ -766,15 +861,27 @@ def test_recheck_rejects_wrong_circuit():
     assert not recheck_certificate(cert, c2)
 
 
+def assert_refused(cert, c, edit, malformed):
+    """A ``malformed`` edit cannot be built: ``dataclasses.replace`` raises
+    the malformed ``ValueError``. Any other builds, and fails the recheck."""
+    if malformed:
+        with pytest.raises(ValueError, match="^malformed kill certificate: "):
+            dataclasses.replace(cert, **edit)
+    else:
+        assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
+
+
 def test_recheck_rejects_a_free_input_that_is_not_free():
     c = random_single_qubit_z_circuit(8, 2, 3, np.random.default_rng(5))
     cert = parity_certificate(c, "improved")
     assert recheck_certificate(cert, c)
-    # a committed wire, an ancilla, a wire past the end, a string, the free
-    # input (wire 0) as a float, and as bools
+    # A committed wire, an ancilla and a wire past the end fail the recheck;
+    # a string, the free input (wire 0) as a float, and bools are malformed.
     assert cert.free_input == 0
-    for wire in (c.target, c.n, c.wires, "0", float(cert.free_input), False, True):
-        assert not recheck_certificate(dataclasses.replace(cert, free_input=wire), c)
+    for wire in (c.target, c.n, c.wires):
+        assert_refused(cert, c, {"free_input": wire}, malformed=False)
+    for wire in ("0", float(cert.free_input), False, True):
+        assert_refused(cert, c, {"free_input": wire}, malformed=True)
 
 
 @pytest.mark.parametrize(
@@ -812,23 +919,27 @@ def _reference_moved(first, second):
 
 
 @pytest.mark.parametrize(
-    "shape, edit",
+    "shape, edit, malformed",
     [
-        ((12, 0, 4), lambda cert: {"verdict": "banana"}),
-        ((12, 0, 4), lambda cert: {"verdict": "not-fanout"}),
-        ((12, 0, 4), lambda cert: {"against": "banana", "verdict": "not-banana"}),
-        ((6, 2, 3), lambda cert: {"ancilla_consistency": True}),
-        ((12, 0, 4), lambda cert: {"free_input": None}),
-        ((12, 0, 4), lambda cert: {"readings": None}),
-        ((12, 0, 4), lambda cert: {"readings": (0.5, cert.readings[1])}),
-        ((12, 0, 4), _reference_moved(1e-3, -1e-3)),
-        ((12, 0, 4), _reference_moved(-1e-3, 1e-3)),
-        ((12, 0, 4), _reference_moved(0.9 * sim.READING_TOL, 0.9 * sim.READING_TOL)),
-        ((12, 0, 4), lambda cert: {"psi_wires": (cert.psi_wires[0] + 0.5,) + cert.psi_wires[1:]}),
-        ((12, 0, 4), lambda cert: {"psi_wires": (-1,) + cert.psi_wires[1:]}),
-        ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}),
-        ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}),
-        ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}),
+        ((12, 0, 4), lambda cert: {"verdict": "banana"}, False),
+        ((12, 0, 4), lambda cert: {"verdict": "not-fanout"}, False),
+        ((12, 0, 4), lambda cert: {"against": "banana", "verdict": "not-banana"}, True),
+        ((6, 2, 3), lambda cert: {"ancilla_consistency": True}, False),
+        ((12, 0, 4), lambda cert: {"free_input": None}, False),
+        ((12, 0, 4), lambda cert: {"readings": None}, False),
+        ((12, 0, 4), lambda cert: {"readings": (0.5, cert.readings[1])}, False),
+        ((12, 0, 4), _reference_moved(1e-3, -1e-3), False),
+        ((12, 0, 4), _reference_moved(-1e-3, 1e-3), False),
+        ((12, 0, 4), _reference_moved(0.9 * sim.READING_TOL, 0.9 * sim.READING_TOL), False),
+        (
+            (12, 0, 4),
+            lambda cert: {"psi_wires": (cert.psi_wires[0] + 0.5,) + cert.psi_wires[1:]},
+            True,
+        ),
+        ((12, 0, 4), lambda cert: {"psi_wires": (-1,) + cert.psi_wires[1:]}, False),
+        ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}, True),
+        ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}, True),
+        ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}, True),
         (
             (12, 0, 4),
             lambda cert: {
@@ -837,6 +948,7 @@ def _reference_moved(first, second):
                 "readings": None,
                 "reference_readings": None,
             },
+            False,
         ),
     ],
     ids=[
@@ -858,40 +970,42 @@ def _reference_moved(first, second):
         "inconclusive-with-a-free-input",
     ],
 )
-def test_recheck_rejects_edited_claims(shape, edit):
+def test_recheck_rejects_edited_claims(shape, edit, malformed):
     """The verdict must be not-{against} for an against of parity or fanout,
     and the ancilla flag must be the one the witness gives. The n=6, a=2
     certificate's witness excites an ancilla, so its flag is false. A
     not-parity verdict needs a free input and stored readings; each stored
     reading must match the recomputed one within ``READING_TOL``, and the
     reference readings must sum to 1, which two readings each raised by
-    less than the tolerance do not. A witness wire must be an int the
-    circuit has, and each readings tuple must hold exactly two numbers. An
-    inconclusive verdict is refused while an input lies outside the witness."""
+    less than the tolerance do not. A witness wire must be a wire the
+    circuit has. An inconclusive verdict is refused while an input lies
+    outside the witness. An unknown ``against``, a fractional witness wire
+    and a readings tuple that does not hold two numbers are malformed."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
     edit = edit(cert)
     assert all(getattr(cert, field) != value for field, value in edit.items())
-    assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
+    assert_refused(cert, c, edit, malformed)
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, malformed",
     [
-        lambda cert: {"psi_wires": cert.psi_wires[::-1]},
-        lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)},
-        lambda cert: {"psi_amps": cert.psi_amps + (0j,)},
+        (lambda cert: {"psi_wires": cert.psi_wires[::-1]}, True),
+        (lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)}, False),
+        (lambda cert: {"psi_amps": cert.psi_amps + (0j,)}, True),
     ],
     ids=["wires-out-of-order", "norm-2", "one-amplitude-too-many"],
 )
-def test_recheck_rejects_a_malformed_witness(edit):
-    """A witness that is not a unit state over ascending wires fails the
-    recheck instead of raising."""
+def test_recheck_rejects_a_malformed_witness(edit, malformed):
+    """Witness wires out of order, or an amplitude count other than
+    2**len(wires), cannot be built; a witness of norm 2 fails the recheck.
+    Neither raises anything else."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert len(cert.psi_wires) > 1 and recheck_certificate(cert, c)
-    assert not recheck_certificate(dataclasses.replace(cert, **edit(cert)), c)
+    assert_refused(cert, c, edit(cert), malformed)
 
 
 def test_small_committed_set_guarantees_free_input():
