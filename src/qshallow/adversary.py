@@ -35,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -355,8 +356,8 @@ class KillCertificate:
 
 
 def _numbers(values: Iterable[object]) -> bool:
-    """Whether every value is an int or a float (a bool is neither)."""
-    return set(map(type, values)) <= {int, float}
+    """Whether every value is a float, or an int a float can hold (a bool is neither)."""
+    return all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
 
 
 def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
@@ -389,18 +390,15 @@ def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
 def parity_certificate(
     c: Circuit, mode: Mode = "improved", against: OpKind = "parity"
 ) -> KillCertificate:
-    """Run the construction and package the verdict. For ``against='fanout'``
-    the circuit is first conjugated by Hadamard layers, and the parity
-    verdict on the conjugate certifies the fanout verdict on the input."""
-    return package_certificate(c, kill_run(analyzed_circuit(c, against), mode), against)
-
-
-def package_certificate(c: Circuit, s: KillState, against: OpKind) -> KillCertificate:
-    """Package a finished construction ``s`` on ``analyzed_circuit(c,
-    against)``: replay its witness (:func:`verify_kill`) and pick the first
-    free input. The replay proves that the target reads its final reading
-    whatever the uncommitted wires hold, so on both flip inputs."""
+    """Run the construction on ``analyzed_circuit(c, against)``, replay its
+    witness (:func:`verify_kill`), and package the verdict with the first
+    free input. For ``against='fanout'`` the analyzed circuit is the Hadamard
+    conjugate, and the parity verdict on it certifies the fanout verdict on
+    ``c``. The replay proves that the target reads its final reading whatever
+    the uncommitted wires hold, so on both flip inputs; a replay that refuses
+    the witness raises ``InvariantError("witness failed: …")``."""
     analyzed = analyzed_circuit(c, against)
+    s = kill_run(analyzed, mode)
     check = verify_kill(analyzed, s)
     if not check.ok:
         raise InvariantError(f"witness failed: the replay refused it (max reading {check.max_p1})")

@@ -164,7 +164,10 @@ def backward_cone(c: Circuit, wire: int) -> tuple[tuple[frozenset[int], ...], Ci
     the gates the walk grew through, with the same n, a, target and depth.
     Every dropped gate commutes past the measurement of ``wire``, so the kept
     circuit reads that wire exactly as ``c`` does, on a state that need
-    cover only the last set's wires."""
+    cover only the last set's wires. A ``wire`` that ``c`` does not have
+    raises ``ValueError``."""
+    if not 0 <= wire < c.wires:
+        raise ValueError(f"measured wire {wire} out of range")
     current = frozenset((wire,))
     sets: list[frozenset[int]] = []
     kept: list[Layer] = []

@@ -16,14 +16,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .adversary import (
-    InvariantError,
-    analyzed_circuit,
-    certificate_to_json,
-    kill_run,
-    package_certificate,
-    verify_kill,
-)
+from .adversary import InvariantError, certificate_to_json, parity_certificate
 from .circuits import (
     Circuit,
     CircuitFormatError,
@@ -139,18 +132,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if not is_single_qubit_z_circuit(c):
         print("note: rewriting Toffoli/Cnot gates to their H-Z-H form first")
         c = rewrite_toffoli_to_z(c)
-    analyzed = analyzed_circuit(c, args.against)
-    state = kill_run(analyzed, args.mode)
-    cert = package_certificate(c, state, args.against)
-    if args.selfcheck:
-        check = verify_kill(analyzed, state)
-        print(
-            f"witness self-check over every rest state (exact replay): max |1> reading"
-            f" on a wire pinned to |0> or the target {check.max_p1:.3e}"
-            f" ({'ok' if check.ok else 'FAILED'})"
-        )
-        if not check.ok:
-            raise InvariantError("witness self-check failed")
+    cert = parity_certificate(c, args.mode, args.against)
     text = certificate_to_json(cert)
     if args.out:
         _write_output(text, args.out)
@@ -235,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("basic", "improved"), default="improved")
     p.add_argument("--against", choices=("parity", "fanout"), default="parity")
     p.add_argument("--out", help="certificate file path (stdout when omitted)")
-    p.add_argument("--selfcheck", action="store_true",
-                   help="also replay the witness exactly through every layer")
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("bound", help="evaluate the depth lower-bound formulas")

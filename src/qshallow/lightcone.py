@@ -68,8 +68,6 @@ class DepthBoundVerdict:
 
 def lightcone(c: Circuit, m: MeasurementSpec) -> LightconeReport:
     """Propagate the measured wire's influence set backward through the layers."""
-    if not 0 <= m.wire < c.wires:
-        raise ValueError(f"measured wire {m.wire} out of range")
     sets, _ = backward_cone(c, m.wire)
     free_inputs = tuple(w for w in range(c.n) if w not in sets[-1])
     return LightconeReport(sets=sets, max_arity=c.max_arity(), free_inputs=free_inputs)
@@ -80,18 +78,19 @@ def lightcone_counterexample(
 ) -> LightconePair | None:
     """Disprove that the circuit computes parity (or, via Hadamard
     conjugation, fanout) by exhibiting a free input wire: the circuit's
-    target reading ignores the flip, the reference operator's does not. The
-    inputs are all-zero and the same with the free input set, so parity reads
-    (0, 1) off the bits. Returns None when the lightcone covers every input
-    (no verdict)."""
+    target reading ignores the flip, the reference operator's does not. One
+    backward-cone walk of the analyzed circuit gives both the free input
+    (the first input outside the full cone) and the cone circuit, which runs
+    once on the cone's wires. The inputs are all-zero and the same with the
+    free input set, so parity reads (0, 1) off the bits. Returns None when
+    the lightcone covers every input (no verdict)."""
     c = analyzed_circuit(c, against)
-    report = lightcone(c, m)
-    if not report.free_inputs:
+    sets, cone = backward_cone(c, m.wire)
+    flip = next((w for w in range(c.n) if w not in sets[-1]), None)
+    if flip is None:
         return None
-    flip = report.free_inputs[0]
     # The flip wire lies outside the cone, so both inputs run the same cone state.
-    _, cone = backward_cone(c, m.wire)
-    reading = read_target(run(cone, PartialState.zero(report.sets[-1])), m)
+    reading = read_target(run(cone, PartialState.zero(sets[-1])), m)
     return LightconePair((0,) * c.n, flip, (reading, reading), parity_readings=(0.0, 1.0))
 
 

@@ -572,13 +572,14 @@ def test_certificate_path_simulates_no_whole_circuit(monkeypatch, mode, against)
     assert recheck_certificate(cert, c)
 
 
-def test_package_certificate_refuses_a_witness_the_replay_refuses():
+def test_parity_certificate_refuses_a_witness_the_replay_refuses(monkeypatch):
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     s = kill_run(c, "improved")
     bad = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, np.random.default_rng(1)))
     assert not verify_kill(c, bad).ok
+    monkeypatch.setattr(adversary, "kill_run", lambda analyzed, mode: bad)
     with pytest.raises(InvariantError, match="^witness failed: "):
-        adversary.package_certificate(c, bad, "parity")
+        parity_certificate(c, "improved", "parity")
 
 
 def test_certificate_json_roundtrip_byte_exact():
@@ -773,14 +774,16 @@ def test_recheck_refuses_every_edit_of_a_golden_kill_history():
 def value_edits(value, wires):
     """Replacements for one JSON value: a string, a list, an object, null
     and both bools; for an int, a float and the wires -1 and ``wires``; for
-    a float, NaN. One that leaves the value equal, type included, is left
-    out."""
+    a float, NaN; for either, an int too large for a float. One that leaves
+    the value equal, type included, is left out."""
     text = "x" if isinstance(value, (dict, list)) else repr(value)
     edits = [text, [value], {}, None, True, False]
     if type(value) is int:
         edits += [float(value), -1, wires]
     if type(value) is float:
         edits.append(float("nan"))
+    if type(value) in (int, float):
+        edits.append(10**400)  # an int too large for a float
     return [e for e in edits if not (type(e) is type(value) and e == value)]
 
 
@@ -940,6 +943,8 @@ def _reference_moved(first, second):
         ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}, True),
         ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}, True),
         ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}, True),
+        ((12, 0, 4), lambda cert: {"readings": (10**400, cert.readings[1])}, True),
+        ((12, 0, 4), lambda cert: {"reference_readings": (0, -(10**400))}, True),
         (
             (12, 0, 4),
             lambda cert: {
@@ -967,6 +972,8 @@ def _reference_moved(first, second):
         "third-reading",
         "third-reference-reading",
         "one-reading",
+        "reading-too-large-for-a-float",
+        "reference-too-large-for-a-float",
         "inconclusive-with-a-free-input",
     ],
 )
@@ -980,7 +987,8 @@ def test_recheck_rejects_edited_claims(shape, edit, malformed):
     less than the tolerance do not. A witness wire must be a wire the
     circuit has. An inconclusive verdict is refused while an input lies
     outside the witness. An unknown ``against``, a fractional witness wire
-    and a readings tuple that does not hold two numbers are malformed."""
+    and a readings tuple that does not hold two numbers, or holds an int too
+    large for a float, are malformed."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from qshallow import serialize_circuit
-from qshallow.cli import main
+from qshallow.cli import build_parser, main
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -98,9 +100,7 @@ def test_bound_output(capsys):
 
 def test_adversary_negative_writes_certificate(random12, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
-    code = main(
-        ["adversary", "--circuit", str(random12), "--out", str(cert_path), "--selfcheck"]
-    )
+    code = main(["adversary", "--circuit", str(random12), "--out", str(cert_path)])
     assert code == 1
     out = capsys.readouterr().out
     assert "verdict: not-parity" in out
@@ -273,23 +273,63 @@ def test_simulate_too_wide_exits_2_without_allocating(tmp_path, capsys):
     assert peak < 2**20  # one 30-wire state would be 16 GiB
 
 
-def test_adversary_selfcheck_runs_the_construction_once(random12, monkeypatch, capsys):
-    from qshallow import adversary, cli
+def test_adversary_runs_the_construction_and_the_replay_once(random12, monkeypatch, capsys):
+    from qshallow import adversary
 
     calls = []
-    kill_run = adversary.kill_run
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kill_run(*args, **kwargs)
+    def counted(name):
+        original = getattr(adversary, name)
 
-    monkeypatch.setattr(adversary, "kill_run", counted)
-    monkeypatch.setattr(cli, "kill_run", counted)
-    code = main(["adversary", "--circuit", str(random12), "--selfcheck", "--against", "fanout"])
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, name, wrapper)
+
+    counted("kill_run")
+    counted("verify_kill")
+    code = main(["adversary", "--circuit", str(random12), "--against", "fanout"])
     assert code == 1
-    out = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("witness self-check over") and line.endswith("(ok)") for line in out)
-    assert len(calls) == 1
+    assert "verdict: not-fanout" in capsys.readouterr().out
+    assert sorted(calls) == ["kill_run", "verify_kill"]
+
+
+def test_adversary_exits_3_when_the_replay_refuses_the_witness(random12, monkeypatch, capsys):
+    from qshallow import adversary
+
+    monkeypatch.setattr(
+        adversary, "verify_kill", lambda c, s: adversary.VerifyKillResult(False, 0.5, None)
+    )
+    assert main(["adversary", "--circuit", str(random12)]) == 3
+    assert "witness failed" in capsys.readouterr().err
+
+
+def test_adversary_has_no_selfcheck_option(random12, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", "--circuit", str(random12), "--selfcheck"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --selfcheck" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every ``qshallow`` command in README.md's sh blocks, each side of a
+    pipe included, is one the parser accepts."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    commands = [
+        shlex.split(part, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        for part in line.split("|")
+    ]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["qshallow"]]
+    assert len(commands) >= 9
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows a command the parser refuses: qshallow {shlex.join(argv)}")
 
 
 def test_lightcone_too_wide_cone_is_a_verdict_without_allocating(tmp_path, capsys):

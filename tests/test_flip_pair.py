@@ -27,7 +27,7 @@ from qshallow import (
     recheck_certificate,
     run,
 )
-from qshallow.adversary import _parity_readings, analyzed_circuit, package_certificate
+from qshallow.adversary import _parity_readings, analyzed_circuit
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
@@ -124,8 +124,9 @@ def test_cone_flip_pair_matches_full_simulation(where, against):
     witnesses = pairs = 0
     for c, analyzed, m, rng in _cone_cases(where, against):
         if is_single_qubit_z_circuit(c):
+            cert = parity_certificate(c, "basic", against)
             s = kill_run(analyzed, "basic")
-            cert = package_certificate(c, s, against)
+            assert (s.psi.wires, s.history) == (cert.psi_wires, cert.history)
             for reading, bits in zip(cert.readings, ({}, {cert.free_input: 1})):
                 assert reading == pytest.approx(_full_reading(analyzed, m, s.psi, bits), abs=1e-12)
             witnesses += 1

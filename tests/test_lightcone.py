@@ -187,3 +187,29 @@ def test_verdicts_run_no_simulation(monkeypatch, tmp_path, capsys):
     path.write_text(serialize_circuit(c))
     assert main(["lightcone", "--circuit", str(path), "--against", "fanout"]) == 1
     assert "verdict: not-fanout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("against", ["parity", "fanout"])
+def test_counterexample_walks_the_cone_once(monkeypatch, against):
+    lc = importlib.import_module("qshallow.lightcone")
+    walks = []
+    backward_cone = lc.backward_cone
+
+    def counted(*args):
+        walks.append(args)
+        return backward_cone(*args)
+
+    monkeypatch.setattr(lc, "backward_cone", counted)
+    truncated = Circuit(n=9, a=0, target=8, layers=build_parity_logdepth(8).layers[:2])
+    pair = lightcone_counterexample(truncated, MeasurementSpec(8), against)
+    assert pair is not None and len(walks) == 1
+    assert lightcone_counterexample(build_parity_logdepth(8), MeasurementSpec(8)) is None
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("wire", [9, -1])
+def test_a_measured_wire_outside_the_circuit_is_refused(wire):
+    c = build_parity_logdepth(8)  # 9 wires
+    for analyze in (lightcone, lightcone_counterexample):
+        with pytest.raises(ValueError, match=f"^measured wire {wire} out of range$"):
+            analyze(c, MeasurementSpec(wire))
