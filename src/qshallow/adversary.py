@@ -18,7 +18,9 @@ to :class:`KillState`'s history, which is the only place those facts live.
 :func:`verify_kill` checks the argument where it is made, on K alone: it
 replays the witness forward through the processed layers, checking each
 history entry, each kill's pinned |0> and each step's recruits, and ends on
-the target's reading. If, after all layers, some input wire is still outside
+the readings of the target and every ancilla, which must be |0> (see
+:class:`KillCertificate` for why the ancillae make the verdict unconditional).
+If, after all layers, some input wire is still outside
 K, flipping it cannot move the target reading away from 0, while the parity
 operator's reading always flips, so the circuit provably does not compute
 parity. The serialized :class:`KillCertificate` lets anyone replay that
@@ -44,7 +46,7 @@ import numpy as np
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
 from .reference import OpKind, conjugate_parity_to_fanout, parity_mask
-from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer, index_map
+from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
@@ -143,33 +145,33 @@ def _next_entry(
         pinned = frozenset(history[-1].fresh) if mode == "improved" else frozenset()
     else:
         committed, pinned = {c.target, *range(c.n, c.wires)}, frozenset()
-    killed: list[KillRecord] = []
+    kills: list[KillRecord] = []  # base-zero (first step) or fresh-zero kills, in gate order
+    recruits: list[KillRecord] = []  # recruited kills in gate order
     inside: list[Gate] = []
     for j, g in enumerate(c.layers[layer_index].gates):
         support = g.support()
-        touched = support & committed
-        if not touched:
+        if committed.isdisjoint(support):
             continue
         if isinstance(g, ZGate) and not history:
-            killed.append(KillRecord(layer_index, j, g.wires, min(touched), "base-zero"))
+            kills.append(KillRecord(layer_index, j, g.wires, min(support & committed), "base-zero"))
         elif support <= committed:
             inside.append(g)
-        elif isinstance(g, ZGate) and support & pinned:
-            killed.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
+        elif isinstance(g, ZGate) and not pinned.isdisjoint(support):
+            kills.append(KillRecord(layer_index, j, g.wires, min(support & pinned), "fresh-zero"))
         elif isinstance(g, ZGate):
             recruit = min(support - committed)
-            killed.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
+            recruits.append(KillRecord(layer_index, j, g.wires, recruit, "recruited"))
         else:
             raise InvariantError(
                 f"layer {layer_index}, gate {j}: unexpected committed-side overlap"
                 f" {sorted(support)} vs committed {sorted(committed)}"
             )
     if history:
-        killed.sort(key=lambda r: r.via == "recruited")  # stable: fresh-zero kills come first
-        fresh = {r.pinned_wire for r in killed if r.via == "recruited"}
+        killed = kills + recruits  # fresh-zero kills come first
+        fresh = {r.pinned_wire for r in recruits}
         committed |= fresh
     else:
-        killed.sort(key=lambda r: r.pinned_wire)
+        killed = sorted(kills, key=lambda r: r.pinned_wire)
         fresh = {w for r in killed for w in r.wires if w in committed}
     entry = KillHistoryEntry(k, tuple(sorted(committed)), tuple(sorted(fresh)), tuple(killed))
     return entry, inside
@@ -248,13 +250,14 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
       applied;
     - the wires this step added to K must read |0>, and are projected out.
 
-    At the end the target must read |0>. A wire reads |0> when its
-    |1>-probability is at most ``READING_TOL``. The state stays a product of
-    the uncommitted wires' state and the replayed one, so this proves that
-    the target reads the replay's final reading for every state of the
-    uncommitted wires. A history that is not the construction's fails with
-    ``max_p1`` 0. ``trials`` and ``seed`` are ignored; they are kept for
-    callers of the sampled check that this replay replaced."""
+    At the end the target and every ancilla must read |0>. A wire reads |0>
+    when its |1>-probability is at most ``READING_TOL``. The state stays a
+    product of the uncommitted wires' state and the replayed one, so this
+    proves that the target reads the replay's final reading, and the
+    ancillae |0>, for every state of the uncommitted wires. A history that
+    is not the construction's fails with ``max_p1`` 0. ``trials`` and
+    ``seed`` are ignored; they are kept for callers of the sampled check
+    that this replay replaced."""
     readings = [0.0]
 
     def reads_zero(state: PartialState, wires: Iterable[int]) -> bool:
@@ -279,12 +282,13 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
         if not reads_zero(state, (r.pinned_wire for r in entry.killed)):
             return VerifyKillResult(False, max(readings), None)
         state = apply_layer(Layer(inside[k]), state)
-        if not reads_zero(state, set(entry.committed) - set(kept)):
+        if not reads_zero(state, (w for w in entry.committed if w not in kept)):
             return VerifyKillResult(False, max(readings), None)
-        amps = state.amps[index_map(kept, state.wires)]
-        state = PartialState(kept, amps / np.linalg.norm(amps))
+        state = state.project_zeros(kept)
     target_p1 = state.restricted_probability(c.target, 1)
-    return VerifyKillResult(reads_zero(state, (c.target,)), max(readings), target_p1)
+    readings.append(target_p1)
+    ok = reads_zero(state, range(c.n, c.wires))  # every ancilla, and the target
+    return VerifyKillResult(ok, max(readings), target_p1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +308,15 @@ class KillCertificate:
     parity operator's (they sum to 1, so one is far from the circuit's).
 
     ``ancilla_consistency`` reports whether the witness is |0> on every
-    ancilla wire. When it is false, the verdict holds only for the witness's
-    state class: the clean-computation premise constrains the circuit on
-    ancillae-|0> inputs only, so a disagreement reached through an
-    ancillae-excited witness is flagged rather than taken as unconditional.
+    ancilla wire. The verdict holds either way. The replay ends with the
+    target and every ancilla at |0>, so the output lies in the ancilla-zero
+    subspace. A circuit that cleanly computes parity (ancillae |0> in and
+    out, any per-input phase) maps the ancilla-zero inputs onto the
+    ancilla-zero outputs and, being unitary, the rest onto the rest, so its
+    input, the rest's state tensored with the witness, is ancilla-zero too.
+    An excited witness thus already contradicts clean computation, and a
+    consistent one gets the flip argument. Fanout follows through the
+    Hadamard conjugate, which leaves the ancillae alone.
 
     A certificate that exists is well-formed: constructing one, also by
     :func:`certificate_from_json` or ``dataclasses.replace``, refuses a shape

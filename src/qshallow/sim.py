@@ -45,6 +45,9 @@ circuit) and :func:`apply_layer` (one layer) are the :class:`PartialState`
 entry points, batch-of-1 wrappers over the kernel; loops over many states
 (basis inputs, the tests' sampled rest states) hand it blocks of at most
 ``BLOCK_AMPS`` amplitudes each, or one column when a single state is larger.
+The wrappers do no work the arithmetic does not need: a layer with no gates
+returns the state itself, and a state the kernel returns (or a tensor
+product, or a projection) is not checked a second time.
 
 No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
 :class:`PartialState` constructors, :func:`full_input_state`,
@@ -56,8 +59,7 @@ and two gates of one layer on a shared wire raise ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -122,19 +124,19 @@ def tensor_indices(
 
 
 def _column_mass(x: np.ndarray) -> np.ndarray:
-    """Sum of |amplitude|^2 over every axis but the last, without a
+    """Sum of |amplitude|^2 over the first two of three axes, without a
     temporary array of the input's size."""
-    axes = "ijklm"[: x.ndim - 1] + "b"
-    spec = f"{axes},{axes}->b"
-    mass = np.einsum(spec, x.real, x.real)
-    if np.iscomplexobj(x):
-        mass += np.einsum(spec, x.imag, x.imag)
+    mass = np.einsum("ijb,ijb->b", x.real, x.real)
+    if x.dtype.kind == "c":
+        mass += np.einsum("ijb,ijb->b", x.imag, x.imag)
     return mass
 
 
 def column_probabilities(block: np.ndarray, position: int, value: int = 1) -> np.ndarray:
     """Per column of a block: the probability that the wire at bit
-    ``position`` reads ``value``."""
+    ``position`` reads ``value``, the int 0 or 1 (a bool is refused)."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"a wire reads the int 0 or 1, not {value!r}")
     return _column_mass(block.reshape(-1, 2, 1 << position, block.shape[1])[:, value])
 
 
@@ -145,17 +147,29 @@ def random_amps(width: int, rng: np.random.Generator) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
+def _ascending(wires: Iterable[int]) -> tuple[int, ...]:
+    """``wires`` as a tuple, refused unless ascending without duplicates."""
+    wires = tuple(wires)
+    if any(wires[i] >= wires[i + 1] for i in range(len(wires) - 1)):
+        raise ValueError(f"state wires must be ascending without duplicates: {wires}")
+    return wires
+
+
 @dataclass(frozen=True)
 class PartialState:
-    """Unit-norm complex amplitudes over an explicit, sorted set of wires."""
+    """Unit-norm complex amplitudes over an explicit, sorted set of wires.
+
+    The constructor checks that the wires ascend, that there are
+    ``2**len(wires)`` amplitudes and that their norm is 1. A state the
+    simulator derives from checked ones (a kernel output, whose norm the
+    kernel has checked, a tensor product, a projection) skips those checks
+    through :meth:`_derived`."""
 
     wires: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        wires = tuple(self.wires)
-        if any(wires[i] >= wires[i + 1] for i in range(len(wires) - 1)):
-            raise ValueError(f"state wires must be ascending without duplicates: {wires}")
+        wires = _ascending(self.wires)
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 ** len(wires),):
             raise ValueError(
@@ -166,6 +180,15 @@ class PartialState:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _derived(cls, wires: tuple[int, ...], amps: np.ndarray) -> "PartialState":
+        """A state whose ascending wires, complex ``2**len(wires)`` amplitudes
+        and unit norm its producer already guarantees."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "wires", wires)
+        object.__setattr__(s, "amps", amps)
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -207,17 +230,38 @@ class PartialState:
         if not other.wires:  # a state over no wires is the scalar 1
             return self
         merged, own, theirs = tensor_indices(self.wires, other.wires)
-        return PartialState(merged, self.amps[own] * other.amps[theirs])
+        return PartialState._derived(merged, self.amps[own] * other.amps[theirs])
 
     def extend_zeros(self, new_wires: Iterable[int]) -> "PartialState":
         """Grow the state by tensoring |0> on each new wire."""
         new_wires = tuple(sorted(set(new_wires) - set(self.wires)))
         if not new_wires:
             return self
-        return self.tensor(PartialState.zero(new_wires))
+        check_width(len(new_wires))
+        zeros = np.zeros(2 ** len(new_wires), dtype=complex)
+        zeros[0] = 1.0
+        return self.tensor(PartialState._derived(new_wires, zeros))
+
+    def project_zeros(self, wires: Iterable[int]) -> "PartialState":
+        """The state left on ``wires``, a subset of this state's wires in
+        ascending order, once every other wire is projected onto |0>,
+        renormalized: the inverse of :meth:`extend_zeros` on a state whose
+        other wires read |0>."""
+        wires = tuple(wires)
+        if wires == self.wires:
+            amps = self.amps
+        else:
+            for w in _ascending(wires):
+                self.position(w)
+            amps = self.amps[index_map(wires, self.wires)]
+        norm = np.linalg.norm(amps)
+        if not norm > 0.0:
+            raise ValueError(f"no mass is left on {wires} with the other wires at |0>")
+        return PartialState._derived(wires, amps / norm)
 
     def restricted_probability(self, wire: int, value: int) -> float:
-        """Total probability mass with the given wire equal to value."""
+        """Total probability mass with the given wire equal to value (the
+        int 0 or 1)."""
         column = self.amps.reshape(-1, 1)
         return float(column_probabilities(column, self.position(wire), value)[0])
 
@@ -297,17 +341,18 @@ class Contraction:
 
     position: int
     u: np.ndarray
+    # ``u`` as a float64 matrix when its imaginary part is exactly zero (H, X
+    # and their folded products), else None.
+    real_u: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        real = not np.count_nonzero(self.u.imag)
+        object.__setattr__(self, "real_u", self.u.real.copy() if real else None)
 
     @property
     def mask(self) -> int:
         """The run's bits."""
         return (self.u.shape[0] - 1) << self.position
-
-    @cached_property
-    def real_u(self) -> np.ndarray | None:
-        """``u`` as a float64 matrix when its imaginary part is exactly zero
-        (H, X and their folded products), else None."""
-        return None if self.u.imag.any() else self.u.real.copy()
 
     def apply(self, b: Block) -> None:
         dim = self.u.shape[0]
@@ -407,26 +452,27 @@ class CompiledLayers:
 
     wires: tuple[int, ...]
     parts: tuple[Part, ...]
+    # Whether every part is real: no contraction has a non-zero imaginary
+    # part (sign flips and gathers always are real).
+    real: bool = field(init=False, compare=False)
 
-    @cached_property
-    def real(self) -> bool:
-        """Whether every part is real: no contraction has a non-zero
-        imaginary part (sign flips and gathers always are real)."""
-        return all(p.real_u is not None for p in self.parts if isinstance(p, Contraction))
+    def __post_init__(self) -> None:
+        real = all(p.real_u is not None for p in self.parts if isinstance(p, Contraction))
+        object.__setattr__(self, "real", real)
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """Run every column of a ``(2**w, batch)`` block through the slice.
         The block is complex, or float64 when the slice is real. It is
         overwritten; use the returned array, which is either the block or a
         scratch buffer of its shape."""
-        dtypes = (complex, np.float64) if self.real else (complex,)
+        complex_block = block.dtype == complex
         if (
             block.ndim != 2
             or block.shape[0] != 2 ** len(self.wires)
-            or block.dtype not in dtypes
+            or not (complex_block or self.real and block.dtype == np.float64)
             or not block.flags.c_contiguous
         ):
-            kinds = " or ".join(np.dtype(t).name for t in dtypes)
+            kinds = "complex128 or float64" if self.real else "complex128"
             raise ValueError(
                 f"need a C-ordered {kinds} block of {2 ** len(self.wires)} rows,"
                 f" got {block.dtype} {block.shape}"
@@ -438,10 +484,11 @@ class CompiledLayers:
         # 2j+1 hold column j's real and imaginary parts.
         flat = b.amps.view(np.float64)
         sq = np.einsum("ij,ij->j", flat, flat)
-        norms = np.sqrt(sq[0::2] + sq[1::2] if block.dtype == complex else sq)
-        bad = np.nonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0]
-        if bad.size:
-            raise ValueError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
+        norms = np.sqrt(sq[0::2] + sq[1::2] if complex_block else sq)
+        ok = np.abs(norms - 1.0) <= NORM_TOL
+        if np.count_nonzero(ok) < ok.size:
+            bad = float(norms[np.argmin(ok)])
+            raise ValueError(f"state norm {bad!r} is not 1 within {NORM_TOL}")
         return b.amps
 
 
@@ -521,7 +568,7 @@ def block_columns(width: int) -> int:
 
 def _run_state(compiled: CompiledLayers, s: PartialState) -> PartialState:
     out = compiled.apply(s.amps.reshape(-1, 1).copy())
-    return PartialState(s.wires, out[:, 0])
+    return PartialState._derived(s.wires, out[:, 0])
 
 
 def apply_gate(part: Part, block: Block) -> None:
@@ -532,7 +579,10 @@ def apply_gate(part: Part, block: Block) -> None:
 
 
 def apply_layer(layer: Layer, s: PartialState) -> PartialState:
-    """Apply every gate of a layer (order irrelevant: disjoint supports)."""
+    """Apply every gate of a layer (order irrelevant: disjoint supports). A
+    layer with no gates returns the state itself."""
+    if not layer.gates:
+        return s
     return _run_state(compile_layers((layer,), s.wires), s)
 
 

@@ -555,6 +555,32 @@ def test_ancilla_consistency_flag():
     assert parity_certificate(clean, "improved").ancilla_consistency
 
 
+def test_recheck_refuses_a_witness_whose_ancilla_ends_excited():
+    """The replay requires every ancilla, as well as the target, to read |0>
+    at the output. Ancilla 3 meets no gate here, so a witness with it at |1>
+    passes every step and ends with the target at |0>; only the ancilla's
+    final reading refuses it (the parent rechecked it True)."""
+    c = Circuit(
+        n=3,
+        a=1,
+        target=2,
+        layers=(Layer([ZGate((0, 1))]), Layer([SingleQubit(2, HADAMARD)])),
+    )
+    cert = parity_certificate(c, "improved")
+    assert cert.psi_wires == (2, 3) and cert.ancilla_consistency
+    assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
+    # Bit 1 of the witness index carries ancilla 3: swap its two halves.
+    flipped = np.array(cert.psi_amps).reshape(2, 2)[::-1].ravel()
+    excited = dataclasses.replace(
+        cert, psi_amps=tuple(complex(v) for v in flipped), ancilla_consistency=False
+    )
+    assert not recheck_certificate(excited, c)
+    s = kill_run(c, "improved")
+    check = verify_kill(c, dataclasses.replace(s, psi=PartialState(s.psi.wires, flipped)))
+    assert not check.ok
+    assert check.target_p1 <= READING_TOL and abs(check.max_p1 - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("mode", ["basic", "improved"])
 @pytest.mark.parametrize("against", ["parity", "fanout"])
 def test_certificate_path_simulates_no_whole_circuit(monkeypatch, mode, against):

@@ -22,7 +22,7 @@ from qshallow import (
     run,
 )
 from qshallow.randcirc import random_bounded_arity_circuit
-from qshallow.sim import adjoint_gate, bit_table
+from qshallow.sim import adjoint_gate, bit_table, column_probabilities
 
 # Little-endian CNOT(control=0, target=1): basis index b0 + 2*b1.
 CNOT01_DENSE = np.array(
@@ -173,6 +173,34 @@ def test_tensor_and_extend():
     assert abs(grown.restricted_probability(0, 0) - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="share wires"):
         a.tensor(a)
+
+
+@pytest.mark.parametrize("value", [True, False, -1, 2, 1.0, np.int64(1)])
+def test_a_reading_is_of_the_int_0_or_1(value):
+    """At the parent, ``True`` read the total mass and ``-1`` read p1."""
+    s = PartialState.random((0, 1), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="reads the int 0 or 1"):
+        s.restricted_probability(1, value)
+    with pytest.raises(ValueError, match="reads the int 0 or 1"):
+        column_probabilities(s.amps.reshape(-1, 1), 1, value)
+    total = s.restricted_probability(1, 0) + s.restricted_probability(1, 1)
+    assert abs(total - 1.0) <= 1e-12
+
+
+def test_project_zeros_inverts_extend_zeros():
+    s = PartialState.random((1, 4), np.random.default_rng(1))
+    grown = s.extend_zeros((0, 2))
+    back = grown.project_zeros((1, 4))
+    assert back.wires == (1, 4)
+    assert np.abs(back.amps - s.amps).max() <= 1e-15
+    assert grown.project_zeros(grown.wires).wires == grown.wires
+    with pytest.raises(CoverageError, match="wire 3 not covered"):
+        grown.project_zeros((1, 3))
+    with pytest.raises(ValueError, match="ascending"):
+        grown.project_zeros((4, 1))
+    one = basis((0, 1), ones=(0,))
+    with pytest.raises(ValueError, match="no mass is left"):
+        one.project_zeros((1,))
 
 
 @pytest.mark.parametrize("seed", range(10))
