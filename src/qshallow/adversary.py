@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -439,7 +439,24 @@ def certificate_to_json(cert: KillCertificate) -> str:
         "circuit_sha256": cert.circuit_sha256,
         "against": cert.against,
         "mode": cert.mode,
-        "history": [asdict(e) for e in cert.history],
+        "history": [
+            {
+                "k": e.k,
+                "committed": e.committed,
+                "fresh": e.fresh,
+                "killed": [
+                    {
+                        "layer": r.layer,
+                        "gate_index": r.gate_index,
+                        "wires": r.wires,
+                        "pinned_wire": r.pinned_wire,
+                        "via": r.via,
+                    }
+                    for r in e.killed
+                ],
+            }
+            for e in cert.history
+        ],
         "witness": {
             "wires": cert.psi_wires,
             "amps": [[v.real, v.imag] for v in cert.psi_amps],

@@ -40,15 +40,17 @@ class SingleQubit:
 
     wire: int
     u: np.ndarray
+    _support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.u, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"single-qubit matrix must be 2x2, got {mat.shape}")
         object.__setattr__(self, "u", mat)
+        object.__setattr__(self, "_support", frozenset((self.wire,)))
 
     def support(self) -> frozenset[int]:
-        return frozenset((self.wire,))
+        return self._support
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -64,12 +66,14 @@ class ZGate:
     on its wires. On a single wire this is the phase gate Z."""
 
     wires: tuple[int, ...]
+    _support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wires", tuple(self.wires))
+        object.__setattr__(self, "_support", frozenset(self.wires))
 
     def support(self) -> frozenset[int]:
-        return frozenset(self.wires)
+        return self._support
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,14 @@ class Toffoli:
 
     controls: tuple[int, ...]
     target: int
+    _support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "controls", tuple(self.controls))
+        object.__setattr__(self, "_support", frozenset(self.controls) | {self.target})
 
     def support(self) -> frozenset[int]:
-        return frozenset(self.controls) | {self.target}
+        return self._support
 
 
 class Cnot(Toffoli):

@@ -49,6 +49,13 @@ The wrappers do no work the arithmetic does not need: a layer with no gates
 returns the state itself, and a state the kernel returns (or a tensor
 product, or a projection) is not checked a second time.
 
+:func:`run_basis`, the loop under the brute-force oracles, does not run the
+slice's leading product parts on its basis inputs: up to the first part that
+touches a bit an earlier contraction spans, the parts take a basis state to a
+product state, which :class:`ProductStart` writes in closed form. The kernel
+applies the parts after them. Every block of one call reuses the same two
+buffers.
+
 No state wider than ``MAX_STATE_WIRES`` wires is allocated: the
 :class:`PartialState` constructors, :func:`full_input_state`,
 :func:`bit_table` and the kernel refuse such widths with ``ValueError``.
@@ -460,11 +467,11 @@ class CompiledLayers:
         real = all(p.real_u is not None for p in self.parts if isinstance(p, Contraction))
         object.__setattr__(self, "real", real)
 
-    def apply(self, block: np.ndarray) -> np.ndarray:
+    def apply(self, block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Run every column of a ``(2**w, batch)`` block through the slice.
-        The block is complex, or float64 when the slice is real. It is
-        overwritten; use the returned array, which is either the block or a
-        scratch buffer of its shape."""
+        The block is complex, or float64 when the slice is real; ``scratch``
+        is a C-ordered array of its shape and dtype that does not overlap it.
+        Both are overwritten; use the returned array, which is one of them."""
         complex_block = block.dtype == complex
         if (
             block.ndim != 2
@@ -477,7 +484,17 @@ class CompiledLayers:
                 f"need a C-ordered {kinds} block of {2 ** len(self.wires)} rows,"
                 f" got {block.dtype} {block.shape}"
             )
-        b = Block(self.wires, block, np.empty_like(block))
+        if (
+            scratch.shape != block.shape
+            or scratch.dtype != block.dtype
+            or not scratch.flags.c_contiguous
+            or np.may_share_memory(block, scratch)
+        ):
+            raise ValueError(
+                f"need a C-ordered {block.dtype} scratch array of shape {block.shape} apart"
+                f" from the block, got {scratch.dtype} {scratch.shape}"
+            )
+        b = Block(self.wires, block, scratch)
         for part in self.parts:
             apply_gate(part, b)
         # One pass over the float64 view: on a complex block, columns 2j and
@@ -567,14 +584,16 @@ def block_columns(width: int) -> int:
 
 
 def _run_state(compiled: CompiledLayers, s: PartialState) -> PartialState:
-    out = compiled.apply(s.amps.reshape(-1, 1).copy())
+    block = s.amps.reshape(-1, 1).copy()
+    out = compiled.apply(block, np.empty_like(block))
     return PartialState._derived(s.wires, out[:, 0])
 
 
 def apply_gate(part: Part, block: Block) -> None:
     """Apply one compiled part to a block in place. The kernel applies every
     part through here, so a profile of this function covers all simulation
-    work."""
+    work except the leading product parts that :func:`run_basis` evaluates
+    in closed form (:class:`ProductStart`)."""
     part.apply(block)
 
 
@@ -591,19 +610,101 @@ def run(c: Circuit, state: PartialState) -> PartialState:
     return _run_state(compile_layers(c.layers, state.wires), state)
 
 
+@dataclass(frozen=True)
+class ProductStart:
+    """The leading product parts of a compiled slice, evaluated in closed form
+    on basis inputs: the longest prefix of the parts in which no part touches
+    a bit that an earlier contraction of the prefix spans.
+
+    Within the prefix every sign flip and gather acts on basis bits only, so
+    it applies to the integer inputs: a sign per input, and the inverse of
+    the gather's permutation (``steps`` holds each sign flip as it is and
+    each gather with its index inverted). The contractions (``runs``, by
+    position) act on disjoint bit runs, so input x becomes the product state
+    ``sign(x) * prod_r u_r[i_r, x_r]`` at row ``(x & ~spanned) | sum_r i_r <<
+    p_r``, where x is the input after the gathers and x_r its bits on run r.
+    ``offsets[i]`` is the row offset of the spanned bits' values read as the
+    compact index i, lowest spanned bit first."""
+
+    steps: tuple[SignFlip | Gather, ...]
+    runs: tuple[Contraction, ...]
+    spanned: int
+    offsets: np.ndarray
+
+    def fill(self, block: np.ndarray, inputs: np.ndarray) -> None:
+        """Write into column j of the ``(2**w, len(inputs))`` block the image
+        of the basis state whose amplitude index is ``inputs[j]``."""
+        x = inputs
+        batch = len(x)
+        amps = np.ones((1, batch))
+        for step in self.steps:
+            if isinstance(step, SignFlip):
+                amps = amps * step.signs[x]
+            else:
+                x = step.index[x]
+        for run in self.runs:
+            u = run.u if block.dtype == complex else run.real_u
+            column = u[:, (x >> run.position) & (len(u) - 1)]
+            amps = (column[:, None, :] * amps[None]).reshape(-1, batch)
+        block.fill(0.0)
+        base = (x & ~self.spanned) * batch + np.arange(batch)
+        block.reshape(-1)[self.offsets[:, None] * batch + base] = amps
+
+
+def leading_product(compiled: CompiledLayers) -> tuple[ProductStart, CompiledLayers]:
+    """Split a compiled slice into its leading product parts, in closed form,
+    and a slice over the same wires of the parts after them."""
+    spanned = 0
+    steps: list[SignFlip | Gather] = []
+    runs: list[Contraction] = []
+    for part in compiled.parts:
+        if part.mask & spanned:
+            break
+        if isinstance(part, Contraction):
+            runs.append(part)
+            spanned |= part.mask
+        elif isinstance(part, Gather):
+            inverse = np.empty_like(part.index)
+            inverse[part.index] = np.arange(part.index.size)
+            steps.append(Gather(inverse, part.mask))
+        else:
+            steps.append(part)
+    start = ProductStart(
+        tuple(steps),
+        tuple(sorted(runs, key=lambda r: r.position)),
+        spanned,
+        bit_table([1 << p for p in range(len(compiled.wires)) if spanned >> p & 1]),
+    )
+    return start, CompiledLayers(compiled.wires, compiled.parts[len(steps) + len(runs) :])
+
+
 def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Run the whole circuit on basis states over all of its wires, given as
     integers with bit w = wire w, one block at a time. Yields
     ``(first, block)``: column j of the block is the output for
     ``inputs[first + j]``. The blocks are float64 when the compiled circuit
-    is real, complex otherwise. The caller may overwrite the block."""
+    is real, complex otherwise. Each block starts as the closed-form image
+    of its inputs under the leading product parts (:class:`ProductStart`),
+    and the kernel applies the parts after them. The caller may overwrite a
+    block; it stays valid until the next one is requested, as every block
+    reuses the same two buffers."""
+    dim = 2**c.wires
+    inputs = np.asarray(inputs)
+    integral = inputs.dtype.kind in "iu"
+    if not integral or inputs.size and not 0 <= inputs.min() <= inputs.max() < dim:
+        raise ValueError(f"basis inputs must be integers in [0, {dim})")
+    inputs = inputs.astype(np.int64, copy=False)
     compiled = compile_layers(c.layers, range(c.wires))
+    start, rest = leading_product(compiled)
     step = block_columns(c.wires)
+    dtype = float if compiled.real else complex
+    size = dim * min(step, len(inputs))
+    amps, scratch = np.empty(size, dtype), np.empty(size, dtype)
     for first in range(0, len(inputs), step):
         chunk = inputs[first : first + step]
-        block = np.zeros((2**c.wires, len(chunk)), dtype=float if compiled.real else complex)
-        block[chunk, np.arange(len(chunk))] = 1.0
-        yield first, compiled.apply(block)
+        block = amps[: dim * len(chunk)].reshape(dim, len(chunk))
+        start.fill(block, chunk)
+        yield first, rest.apply(block, scratch[: block.size].reshape(block.shape))
 
 
 def read_target(s: PartialState, m: MeasurementSpec) -> TargetReading:

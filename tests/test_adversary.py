@@ -16,6 +16,7 @@ from qshallow import (
     PartialState,
     ReferenceOp,
     SingleQubit,
+    Toffoli,
     ZGate,
     apply_layer,
     build_parity_logdepth,
@@ -579,6 +580,74 @@ def test_recheck_refuses_a_witness_whose_ancilla_ends_excited():
     check = verify_kill(c, dataclasses.replace(s, psi=PartialState(s.psi.wires, flipped)))
     assert not check.ok
     assert check.target_p1 <= READING_TOL and abs(check.max_p1 - 1.0) <= 1e-12
+
+
+def conjugated_circuit(n, a, rng, clean=True):
+    """A*M*A^-1 over n inputs and a ancillae. A puts a Toffoli from one or
+    two of the first n // 2 inputs into each ancilla, one per layer. M is two
+    layers of Z-gates over random groups and Haar single-qubit gates, on the
+    other inputs when ``clean``, so M never moves a basis value of the wires
+    A reads or writes, and A^-1 = A reversed returns every ancilla to |0>;
+    otherwise on any wire."""
+    fed = list(range(n // 2))
+    conj = []
+    for j in range(a):
+        controls = rng.choice(fed, int(rng.integers(1, 3)), replace=False)
+        conj.append(Layer([Toffoli(tuple(sorted(controls.tolist())), n + j)]))
+    middle = []
+    for _ in range(2):
+        gates, rest = [], []
+        for w in range(n + a):
+            if (n // 2 <= w < n or not clean) and rng.random() < 0.5:
+                q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                gates.append(SingleQubit(w, q * (np.diag(r) / np.abs(np.diag(r)))))
+            else:
+                rest.append(w)
+        rng.shuffle(rest)
+        while len(rest) >= 2:
+            size = min(int(rng.integers(2, 4)), len(rest))
+            gates.append(ZGate(tuple(sorted(rest[:size]))))
+            rest = rest[size:]
+        middle.append(Layer(gates))
+    return Circuit(n=n, a=a, target=n - 1, layers=tuple(conj + middle + conj[::-1]))
+
+
+def excited_witnesses(clean, draws=32):
+    """Over seeded A*M*A^-1 draws (n 6-8, a 1-2), rewritten to H-Z-H and run
+    in both modes with every input as target: how many circuits map an
+    ancilla-zero input onto an ancilla-nonzero output (by the dense
+    operator), how many constructions complete, and how many of their
+    witnesses read |1> on an ancilla above ``READING_TOL``."""
+    rng = np.random.default_rng(3000 if clean else 3100)
+    leaky = completed = excited = 0
+    for _ in range(draws):
+        n, a = int(rng.integers(6, 9)), int(rng.integers(1, 3))
+        c = conjugated_circuit(n, a, rng, clean)
+        leaky += np.count_nonzero(dense_operator(c)[2**n :, : 2**n]) > 0
+        z = rewrite_toffoli_to_z(c)
+        for target in range(n):
+            for mode in ("basic", "improved"):
+                try:
+                    s = kill_run(dataclasses.replace(z, target=target), mode)
+                except InvariantError:
+                    continue
+                completed += 1
+                excited += any(
+                    s.psi.restricted_probability(w, 1) > READING_TOL for w in range(n, n + a)
+                )
+    return leaky, completed, excited
+
+
+def test_no_construction_on_a_clean_circuit_has_an_excited_witness():
+    """The ancilla-subspace lemma on clean A*M*A^-1 circuits: each maps
+    ancilla-zero inputs onto ancilla-zero outputs, so no witness that
+    completes is excited on an ancilla. The same family with single-qubit
+    gates on A's wires too is not clean, and there the check finds excited
+    witnesses."""
+    leaky, completed, excited = excited_witnesses(clean=True)
+    assert leaky == 0 and completed >= 400 and excited == 0
+    leaky, completed, excited = excited_witnesses(clean=False)
+    assert leaky > 0 and excited > completed // 2
 
 
 @pytest.mark.parametrize("mode", ["basic", "improved"])

@@ -26,6 +26,22 @@ from qshallow import (
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
 
+def test_gate_support_is_built_once_without_changing_repr_equality_or_hash():
+    gates = (ZGate([1, 2]), Toffoli([0, 3], 2), Cnot(1, 0), SingleQubit(4, np.eye(2)))
+    assert [repr(g) for g in gates[:3]] == [
+        "ZGate(wires=(1, 2))",
+        "Toffoli(controls=(0, 3), target=2)",
+        "Cnot(control=1, target=0)",
+    ]
+    assert repr(gates[3]).startswith("SingleQubit(wire=4, u=array(")
+    assert [g.support() for g in gates] == [{1, 2}, {0, 2, 3}, {0, 1}, {4}]
+    assert all(g.support() is g.support() for g in gates)
+    assert hash(gates[0]) == hash(((1, 2),)) and hash(gates[1]) == hash(((0, 3), 2))
+    assert gates[0] == ZGate((1, 2)) and gates[1] == Toffoli((0, 3), 2)
+    assert gates[2] == Cnot(1, 0) and gates[2] != Toffoli((1,), 0)
+    assert gates[3] == SingleQubit(4, np.eye(2)) and gates[3] != SingleQubit(4, HADAMARD)
+
+
 def test_validate_clean_circuit():
     c = Circuit(n=2, a=0, target=1, layers=(Layer([Cnot(0, 1)]),))
     assert validate(c) == []

@@ -91,6 +91,11 @@ def slice_matrix(c, wires, lo=0, hi=None, adjoint=False):
     return m.conj().T if adjoint else m
 
 
+def apply(compiled, block):
+    """The compiled slice run on a copy of ``block``, with a fresh scratch array."""
+    return compiled.apply(block.copy(), np.empty_like(block))
+
+
 def random_columns(rng, width, batch):
     raw = rng.standard_normal((2**width, batch)) + 1j * rng.standard_normal((2**width, batch))
     return raw / np.linalg.norm(raw, axis=0)
@@ -178,7 +183,7 @@ def test_kernel_matches_dense_reference(kind, seed):
     dense = slice_matrix(c, wires)
     for batch in (1, 3, 40):
         block = random_columns(rng, c.wires, batch)
-        out = compile_layers(c.layers, wires).apply(block.copy())
+        out = apply(compile_layers(c.layers, wires), block)
         assert np.abs(out - dense @ block).max() <= TOL
 
 
@@ -196,7 +201,7 @@ def test_slices_and_adjoint_match_dense_reference(kind, seed):
             inverse = [Layer(adjoint_gate(g) for g in layer.gates) for layer in reversed(layers)]
             for adjoint, sliced in ((False, layers), (True, inverse)):
                 expect = slice_matrix(c, wires, lo, hi, adjoint) @ block
-                out = compile_layers(sliced, wires).apply(block.copy())
+                out = apply(compile_layers(sliced, wires), block)
                 assert np.abs(out - expect).max() <= TOL
 
 
@@ -306,7 +311,7 @@ def test_fused_runs_with_gaps_match_dense_reference(width, seed):
     dense = slice_matrix(c, wires)
     for batch in (1, 2, 3, 17):
         block = random_columns(rng, width, batch)
-        out = compiled.apply(block.copy())
+        out = apply(compiled, block)
         assert np.abs(out - dense @ block).max() <= TOL
 
 
@@ -329,7 +334,7 @@ def test_runs_longer_than_the_fusion_width_split(bits):
     assert len(spans) > 1 and all(k <= FUSE_MAX_BITS for _, k in spans)
     for batch in (1, 5):
         block = random_columns(rng, 8, batch)
-        out = compiled.apply(block.copy())
+        out = apply(compiled, block)
         assert np.abs(out - slice_matrix(c, wires) @ block).max() <= TOL
 
 
@@ -394,7 +399,7 @@ def test_folded_multi_layer_slices_match_dense_reference(kind):
                 spans = len(contraction_spans(compiled))
                 assert spans <= layer_by_layer_contractions(layers, wires)
                 folded += spans < layer_by_layer_contractions(layers, wires)
-                assert np.abs(compiled.apply(block.copy()) - dense @ block).max() <= TOL
+                assert np.abs(apply(compiled, block) - dense @ block).max() <= TOL
     assert folded
 
 
@@ -417,7 +422,7 @@ def test_chain_across_three_layers_compiles_to_one_contraction():
     assert np.abs(parts[0].u - us[2] @ us[1] @ us[0]).max() <= TOL
     c = Circuit(n=3, a=0, target=2, layers=layers)
     block = random_columns(rng, 3, 4)
-    assert np.abs(compiled.apply(block.copy()) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
+    assert np.abs(apply(compiled, block) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
 
 
 @pytest.mark.parametrize(
@@ -440,7 +445,7 @@ def test_z_gate_or_toffoli_on_the_wire_stops_the_fold(between):
     assert np.array_equal(contractions[0].u, first) and np.array_equal(contractions[1].u, second)
     c = Circuit(n=3, a=0, target=2, layers=layers)
     block = random_columns(rng, 3, 4)
-    assert np.abs(compiled.apply(block.copy()) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
+    assert np.abs(apply(compiled, block) - slice_matrix(c, (0, 1, 2)) @ block).max() <= TOL
 
 
 @pytest.mark.parametrize(
@@ -468,7 +473,7 @@ def test_compiling_leaves_the_circuit_gate_matrices_unchanged():
     singles = [g for layer in c.layers for g in layer.gates if isinstance(g, SingleQubit)]
     before = [g.u.copy() for g in singles]
     compiled = compile_layers(c.layers, range(6))
-    compiled.apply(random_columns(rng, 6, 3))
+    apply(compiled, random_columns(rng, 6, 3))
     list(run_basis(c, np.arange(8)))
     assert len(contraction_spans(compiled)) < layer_by_layer_contractions(c.layers, range(6))
     for g, u in zip(singles, before):
@@ -532,7 +537,7 @@ def test_inverse_pairs_and_merged_flips_match_dense_reference():
             for hi in range(lo, c.depth()):
                 compiled = compile_layers(c.layers[lo : hi + 1], wires)
                 expect = slice_matrix(c, wires, lo, hi) @ block
-                assert np.abs(compiled.apply(block.copy()) - expect).max() <= TOL
+                assert np.abs(apply(compiled, block) - expect).max() <= TOL
                 flips = sum(isinstance(p, SignFlip) for p in compiled.parts)
                 z_layers = sum(
                     any(isinstance(g, ZGate) for g in c.layers[i].gates) for i in range(lo, hi + 1)
@@ -611,7 +616,7 @@ def test_sign_flip_merges_back_past_disjoint_parts_only(between, merges):
         assert np.array_equal(parts[2].signs, second.signs)
     c = Circuit(n=5, a=0, target=4, layers=layers)
     block = random_columns(np.random.default_rng(16), 5, 2)
-    out = compile_layers(layers, wires).apply(block.copy())
+    out = apply(compile_layers(layers, wires), block)
     assert np.abs(out - slice_matrix(c, wires) @ block).max() <= TOL
 
 
@@ -687,7 +692,7 @@ def test_batch_agrees_with_batch_of_one(kind):
     c, rng = ensemble(kind, 300)
     wires = tuple(range(c.wires))
     block = random_columns(rng, c.wires, 17)
-    out = compile_layers(c.layers, wires).apply(block.copy())
+    out = apply(compile_layers(c.layers, wires), block)
     for j in range(block.shape[1]):
         single = run(c, PartialState(wires, block[:, j].copy()))
         assert np.abs(out[:, j] - single.amps).max() <= TOL
@@ -847,13 +852,27 @@ def test_a_float64_block_needs_a_real_slice():
     block = np.zeros((8, 2))
     block[0] = 1.0
     real = compile_layers((Layer([SingleQubit(0, HADAMARD), Cnot(1, 2)]),), range(3))
-    assert real.real and real.apply(block.copy()).dtype == np.float64
+    assert real.real and apply(real, block).dtype == np.float64
     for u in (np.diag([1, 1j]), random_unitary(rng)):
         layers = (Layer([SingleQubit(0, HADAMARD)]), Layer([SingleQubit(1, u)]))
         phased = compile_layers(layers, range(3))
         assert not phased.real
         with pytest.raises(ValueError, match="need a C-ordered complex128 block of 8 rows"):
-            phased.apply(block.copy())
+            apply(phased, block)
+
+
+def test_apply_refuses_a_scratch_array_it_cannot_write_apart_from_the_block():
+    compiled = compile_layers((Layer([SingleQubit(0, HADAMARD)]),), range(3))
+    block = np.zeros((8, 2), dtype=complex)
+    block[0] = 1.0
+    for scratch in (
+        np.empty((8, 3), dtype=complex),
+        np.empty((8, 2)),
+        np.empty((2, 8), dtype=complex).T,
+        block,
+    ):
+        with pytest.raises(ValueError, match="scratch array"):
+            compiled.apply(block, scratch)
 
 
 # -- width guard ---------------------------------------------------------------
