@@ -45,7 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
-from .reference import OpKind, conjugate_parity_to_fanout, parity_mask
+from .reference import OpKind, check_op_kind, conjugate_parity_to_fanout, parity_mask
 from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
@@ -372,7 +372,9 @@ def _numbers(values: Iterable[object]) -> bool:
 def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
     """The circuit both no-side arguments analyze: the circuit itself against
     parity; against fanout, its Hadamard conjugate, since a parity verdict on
-    the conjugate is a fanout verdict on the circuit."""
+    the conjugate is a fanout verdict on the circuit. Any other ``against``
+    is refused."""
+    check_op_kind(against)
     return conjugate_parity_to_fanout(c) if against == "fanout" else c
 
 

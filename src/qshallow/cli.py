@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (circuit shown
 not to compute the operator, or a clean-computation check failed), 2 usage or
-input error, 3 internal invariant breach.
+input error (out of memory included), 3 internal invariant breach.
 
 ``--circuit -`` reads the circuit document from standard input, so commands
 compose: ``qshallow build parity-logdepth --n 8 | qshallow verify --circuit -
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
     except (CircuitFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .adversary import analyzed_circuit
 from .circuits import Circuit, MeasurementSpec, backward_cone
-from .reference import OpKind
+from .reference import OpKind, check_op_kind
 from .sim import PartialState, TargetReading, read_target, run
 
 
@@ -101,6 +101,7 @@ def check_depth_bound(c: Circuit, against: OpKind = "parity") -> DepthBoundVerdi
     Against fanout the analyzed circuit is the Hadamard conjugate, which only
     adds single-qubit layers; those never grow a cone, so it has the same
     cone and free inputs as ``c`` and ``c`` is walked directly."""
+    check_op_kind(against)
     report = lightcone(c, MeasurementSpec(c.target))
     return DepthBoundVerdict(
         against=against,

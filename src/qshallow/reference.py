@@ -24,6 +24,12 @@ from .sim import PartialState, index_map
 OpKind = Literal["parity", "fanout"]
 
 
+def check_op_kind(kind: str) -> None:
+    """Refuse, with ``ValueError``, any operator kind but parity and fanout."""
+    if kind not in ("parity", "fanout"):
+        raise ValueError(f"unknown operator kind {kind!r}: expected parity or fanout")
+
+
 @dataclass(frozen=True)
 class ReferenceOp:
     """Exact basis-permutation operator on wires 0..n (wire n is b)."""
@@ -32,8 +38,7 @@ class ReferenceOp:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("parity", "fanout"):
-            raise ValueError(f"unknown reference op kind {self.kind!r}")
+        check_op_kind(self.kind)
         if self.n < 1:
             raise ValueError(f"reference op arity must be >= 1, got {self.n}")
 

@@ -24,11 +24,9 @@ layer's contraction when nothing else is left in its run; a chain of gates on
 one wire then costs one pass. When the later gate is bitwise the adjoint of
 the matrix held on its wire (``H H``, ``X X``, ``U U^dag``), both gates go
 instead of contracting a product that is the identity only up to rounding,
-and the wire stays open at the earlier layer. Last, each sign flip merges
-into the last one kept when every part between them acts on bits disjoint
-from its own, so the diagonal commutes back there; the +-1 signs multiply
-exactly. The circuit's own gates are never changed, and :func:`apply_layer`
-compiles a single layer, so it never folds, cancels or merges.
+and the wire stays open at the earlier layer. Each layer's sign flip stays
+in its layer's place. The circuit's own gates are never changed, and
+:func:`apply_layer` compiles a single layer, so it never folds or cancels.
 
 The parts apply to a *block*: a C-ordered array of shape ``(2**w, batch)``
 whose column j is one state over the w wires, so the batch index varies
@@ -37,12 +35,13 @@ real: no contraction has a non-zero imaginary part (sign flips and gathers
 always are real). :func:`run_basis` hands real slices float64 blocks, so
 basis-input loops over circuits of Toffolis, Z-gates, H and X run in real
 arithmetic throughout; a complex block contracts in complex arithmetic.
-The block and one scratch buffer of its shape serve as ping-pong buffers,
-each part is applied through :func:`apply_gate`, the per-part hook, and each
-column's norm is checked once, after the last part, in one pass over the
-block's float64 view. :func:`run` (a whole
-circuit) and :func:`apply_layer` (one layer) are the :class:`PartialState`
-entry points, batch-of-1 wrappers over the kernel; loops over many states
+:meth:`CompiledLayers.apply` takes the block alone and allocates one scratch
+buffer of its shape; the two serve as ping-pong buffers, each part is
+applied through :func:`apply_gate`, the per-part hook, and each column's
+norm is checked once, after the last part, in one pass over the block's
+float64 view. :func:`run` (a whole circuit) and :func:`apply_layer` (one
+layer) are the :class:`PartialState` entry points, batch-of-1 wrappers over
+the kernel; loops over many states
 (basis inputs, the tests' sampled rest states) hand it blocks of at most
 ``BLOCK_AMPS`` amplitudes each, or one column when a single state is larger.
 The wrappers do no work the arithmetic does not need: a layer with no gates
@@ -467,11 +466,17 @@ class CompiledLayers:
         real = all(p.real_u is not None for p in self.parts if isinstance(p, Contraction))
         object.__setattr__(self, "real", real)
 
-    def apply(self, block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def apply(self, block: np.ndarray) -> np.ndarray:
         """Run every column of a ``(2**w, batch)`` block through the slice.
-        The block is complex, or float64 when the slice is real; ``scratch``
-        is a C-ordered array of its shape and dtype that does not overlap it.
-        Both are overwritten; use the returned array, which is one of them."""
+        The block is complex, or float64 when the slice is real. It is
+        overwritten; use the returned array, which is it or a scratch array
+        of its shape allocated here."""
+        return self._run(Block(self.wires, block, np.empty_like(block)))
+
+    def _run(self, b: Block) -> np.ndarray:
+        """Apply every part to a block whose scratch array is C-ordered, of
+        its shape and dtype, and apart from it; check each column's norm."""
+        block = b.amps
         complex_block = block.dtype == complex
         if (
             block.ndim != 2
@@ -484,17 +489,6 @@ class CompiledLayers:
                 f"need a C-ordered {kinds} block of {2 ** len(self.wires)} rows,"
                 f" got {block.dtype} {block.shape}"
             )
-        if (
-            scratch.shape != block.shape
-            or scratch.dtype != block.dtype
-            or not scratch.flags.c_contiguous
-            or np.may_share_memory(block, scratch)
-        ):
-            raise ValueError(
-                f"need a C-ordered {block.dtype} scratch array of shape {block.shape} apart"
-                f" from the block, got {scratch.dtype} {scratch.shape}"
-            )
-        b = Block(self.wires, block, scratch)
         for part in self.parts:
             apply_gate(part, b)
         # One pass over the float64 view: on a complex block, columns 2j and
@@ -509,27 +503,6 @@ class CompiledLayers:
         return b.amps
 
 
-def _merge_sign_flips(parts: Iterable[Part]) -> list[Part]:
-    """Each sign flip joins the last one kept when every part between them
-    acts on bits disjoint from its own, so it commutes back onto it; the
-    merged flip stays in the first one's place and multiplies the signs,
-    which is exact for +-1."""
-    out: list[Part] = []
-    last = -1  # index in ``out`` of the last sign flip kept
-    since = 0  # the bits of the parts kept after it
-    for part in parts:
-        if isinstance(part, SignFlip):
-            if last >= 0 and not part.mask & since:
-                kept = out[last]
-                out[last] = SignFlip(kept.signs * part.signs, kept.mask | part.mask)
-                continue
-            last, since = len(out), 0
-        else:
-            since |= part.mask
-        out.append(part)
-    return out
-
-
 def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLayers:
     """Compile layers (in application order) over a wire ordering.
 
@@ -541,7 +514,7 @@ def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLay
     instead, and the wire stays open at the earlier layer, where a later gate
     on it can still fold. Gates of one layer never fold together: each layer
     is checked, and a layer whose gates share a wire refused, before any of
-    its gates folds. Last, sign flips merge backward (:func:`_merge_sign_flips`)."""
+    its gates folds. Each layer's sign flip stays in its layer's place."""
     wires = tuple(wires)
     check_width(len(wires))
     position = {w: p for p, w in enumerate(wires)}
@@ -569,11 +542,7 @@ def compile_layers(layers: Sequence[Layer], wires: Iterable[int]) -> CompiledLay
         compiled.append((parts, singles))
     return CompiledLayers(
         wires,
-        tuple(
-            _merge_sign_flips(
-                part for parts, singles in compiled for part in parts + _fused_contractions(singles)
-            )
-        ),
+        tuple(part for parts, singles in compiled for part in parts + _fused_contractions(singles)),
     )
 
 
@@ -585,7 +554,7 @@ def block_columns(width: int) -> int:
 
 def _run_state(compiled: CompiledLayers, s: PartialState) -> PartialState:
     block = s.amps.reshape(-1, 1).copy()
-    out = compiled.apply(block, np.empty_like(block))
+    out = compiled.apply(block)
     return PartialState._derived(s.wires, out[:, 0])
 
 
@@ -704,7 +673,7 @@ def run_basis(c: Circuit, inputs: np.ndarray) -> Iterator[tuple[int, np.ndarray]
         chunk = inputs[first : first + step]
         block = amps[: dim * len(chunk)].reshape(dim, len(chunk))
         start.fill(block, chunk)
-        yield first, rest.apply(block, scratch[: block.size].reshape(block.shape))
+        yield first, rest._run(Block(rest.wires, block, scratch[: block.size].reshape(block.shape)))
 
 
 def read_target(s: PartialState, m: MeasurementSpec) -> TargetReading:

@@ -61,8 +61,8 @@ def two_suffix_verify_kill(c, s, trials=20, seed=0):
             else:
                 rest[:, j] = random_amps(len(s.rest), rng)
         start = rest[own] * witness
-        out_full = full.apply(start.copy(), np.empty_like(start))
-        out_killed = stripped.apply(start, np.empty_like(start))
+        out_full = full.apply(start.copy())
+        out_killed = stripped.apply(start)
         p_full = column_probabilities(out_full, target)
         p_killed = column_probabilities(out_killed, target)
         readings += [list(pair) for pair in zip(p_full.tolist(), p_killed.tolist())]

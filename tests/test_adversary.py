@@ -556,6 +556,17 @@ def test_ancilla_consistency_flag():
     assert parity_certificate(clean, "improved").ancilla_consistency
 
 
+def test_parity_certificate_refuses_an_unknown_against_before_the_construction(monkeypatch):
+    c = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),))
+
+    def construction(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(adversary, "kill_run", construction)
+    with pytest.raises(ValueError, match="unknown operator kind 'banana'"):
+        parity_certificate(c, "improved", "banana")
+
+
 def test_recheck_refuses_a_witness_whose_ancilla_ends_excited():
     """The replay requires every ancilla, as well as the target, to read |0>
     at the output. Ancilla 3 meets no gate here, so a witness with it at |1>

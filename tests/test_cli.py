@@ -332,6 +332,36 @@ def test_readme_commands_parse():
             pytest.fail(f"README shows a command the parser refuses: qshallow {shlex.join(argv)}")
 
 
+def test_readme_states_each_sim_constant_as_the_module_sets_it():
+    """Every ``NAME = value`` README.md states for a ``qshallow.sim``
+    constant equals the module's value."""
+    import qshallow.sim as sim
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`([A-Z][A-Z0-9_]*) = ([^`]+)`", readme)
+    stated = [(name, value) for name, value in stated if hasattr(sim, name)]
+    assert {name for name, _ in stated} >= {
+        "FUSE_MAX_BITS",
+        "KRON_MAX_SIDE",
+        "BLOCK_AMPS",
+        "MAX_STATE_WIRES",
+    }
+    for name, value in stated:
+        assert eval(value, {"__builtins__": {}}) == getattr(sim, name), f"README: {name} = {value}"
+
+
+def test_out_of_memory_is_a_one_line_usage_error(monkeypatch, capsys):
+    """A ``MemoryError`` exits 2, not 1, which means a negative verdict."""
+    import qshallow.cli as cli
+
+    def build(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_parity_logdepth", build)
+    assert main(["build", "parity-logdepth", "--n", "5000000"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_lightcone_too_wide_cone_is_a_verdict_without_allocating(tmp_path, capsys):
     path = tmp_path / "wide41.json"
     gate = {"kind": "z", "wires": list(range(40))}

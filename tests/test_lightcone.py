@@ -140,6 +140,22 @@ def test_fanout_verdict_via_conjugation():
     assert verdict.verdict == "not-fanout"
 
 
+UNKNOWN_AGAINST = ["banana", "Parity", None]
+FREE_WIRE_0 = Circuit(n=4, a=0, target=3, layers=(Layer([Cnot(2, 3)]),))
+
+
+@pytest.mark.parametrize("against", UNKNOWN_AGAINST)
+def test_check_depth_bound_refuses_an_unknown_against(against):
+    with pytest.raises(ValueError, match="expected parity or fanout"):
+        check_depth_bound(FREE_WIRE_0, against)
+
+
+@pytest.mark.parametrize("against", UNKNOWN_AGAINST)
+def test_lightcone_counterexample_refuses_an_unknown_against(against):
+    with pytest.raises(ValueError, match="expected parity or fanout"):
+        lightcone_counterexample(FREE_WIRE_0, MeasurementSpec(3), against)
+
+
 def test_counterexample_flips_least_free_input():
     c = Circuit(n=4, a=0, target=3, layers=(Layer([Cnot(2, 3)]),))
     pair = lightcone_counterexample(c, MeasurementSpec(3))

@@ -4,9 +4,9 @@ The circuits are drawn here exactly as ``bench/workloads.py`` draws the
 kill-campaign and oracle-sweep pools for seed 0 (warm-up pass included), and
 each one's ``circuit_sha256`` is pinned, so a change to the draws fails
 loudly instead of comparing other circuits. ``tests/data/pool_results.json``
-holds every result as the simulator computed it before sign flips merged and
-exact inverse pairs cancelled at compile time. Its ``verify_kill`` records
-are the sampled check that the exact replay replaced: the sampled oracle
+holds every result as the simulator computed it before exact inverse pairs
+cancelled at compile time. Its ``verify_kill`` records are the sampled check
+that the exact replay replaced: the sampled oracle
 (``kill_oracle.two_suffix_verify_kill``) must still reproduce them, and the
 replay, ``verify_kill``, must agree with each record's ``ok``. The floats
 must agree within ``TOL`` and everything else exactly, except ``verify_clean``'s

@@ -50,7 +50,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def plain_apply_layer(layer: Layer, s: PartialState) -> PartialState:
     block = s.amps.reshape(-1, 1).copy()
-    out = compile_layers((layer,), s.wires).apply(block, np.empty_like(block))
+    out = compile_layers((layer,), s.wires).apply(block)
     return PartialState(s.wires, out[:, 0])
 
 
