@@ -39,18 +39,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
-from .reference import OpKind, check_op_kind, conjugate_parity_to_fanout, parity_mask
+from .reference import OpKind, analyzed_circuit, parity_mask
 from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
 
-Mode = str  # "basic" | "improved"
+Mode = Literal["basic", "improved"]
+Via = Literal["base-zero", "fresh-zero", "recruited"]  # how a kill is justified
 
 
 class InvariantError(RuntimeError):
@@ -66,7 +67,7 @@ class KillRecord:
     gate_index: int
     wires: tuple[int, ...]
     pinned_wire: int
-    via: str  # "base-zero" | "fresh-zero" | "recruited"
+    via: Via
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def committed_bound(mode: Mode, a: int, k: int) -> int:
 
 
 def _check_mode(mode: Mode) -> None:
-    if mode not in ("basic", "improved"):
+    if mode not in get_args(Mode):
         raise ValueError(f"mode must be 'basic' or 'improved', got {mode!r}")
 
 
@@ -349,9 +350,9 @@ class KillCertificate:
         ints += [*wires] if self.free_input is None else [*wires, self.free_input]
         # Each rule is tested only once the ones before it hold.
         require(self.version == __version__, f"version must be {__version__!r}")
-        require(self.against in ("parity", "fanout"), "against must be parity or fanout")
-        require(self.mode in ("basic", "improved"), "mode must be basic or improved")
-        vias = ("base-zero", "fresh-zero", "recruited")
+        require(self.against in get_args(OpKind), "against must be parity or fanout")
+        require(self.mode in get_args(Mode), "mode must be basic or improved")
+        vias = get_args(Via)
         require(all(r.via in vias for r in kills), f"each kill's via must be one of {vias}")
         ints_ok = all(type(v) is int for v in ints)  # a bool is not an int
         require(ints_ok, "wires and history integers must be ints")
@@ -367,15 +368,6 @@ class KillCertificate:
 def _numbers(values: Iterable[object]) -> bool:
     """Whether every value is a float, or an int a float can hold (a bool is neither)."""
     return all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
-
-
-def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
-    """The circuit both no-side arguments analyze: the circuit itself against
-    parity; against fanout, its Hadamard conjugate, since a parity verdict on
-    the conjugate is a fanout verdict on the circuit. Any other ``against``
-    is refused."""
-    check_op_kind(against)
-    return conjugate_parity_to_fanout(c) if against == "fanout" else c
 
 
 def _parity_readings(psi: PartialState, measured: int, n: int) -> tuple[float, float]:
@@ -441,24 +433,8 @@ def certificate_to_json(cert: KillCertificate) -> str:
         "circuit_sha256": cert.circuit_sha256,
         "against": cert.against,
         "mode": cert.mode,
-        "history": [
-            {
-                "k": e.k,
-                "committed": e.committed,
-                "fresh": e.fresh,
-                "killed": [
-                    {
-                        "layer": r.layer,
-                        "gate_index": r.gate_index,
-                        "wires": r.wires,
-                        "pinned_wire": r.pinned_wire,
-                        "via": r.via,
-                    }
-                    for r in e.killed
-                ],
-            }
-            for e in cert.history
-        ],
+        # Field order is key order, so the dataclasses declare the history schema.
+        "history": [{**vars(e), "killed": [vars(r) for r in e.killed]} for e in cert.history],
         "witness": {
             "wires": cert.psi_wires,
             "amps": [[v.real, v.imag] for v in cert.psi_amps],

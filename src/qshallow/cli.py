@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import get_args
 
 from ._version import __version__
-from .adversary import InvariantError, certificate_to_json, parity_certificate
+from .adversary import InvariantError, Mode, certificate_to_json, parity_certificate
 from .circuits import (
     Circuit,
     CircuitFormatError,
@@ -29,6 +30,7 @@ from .circuits import (
 )
 from .lightcone import check_depth_bound
 from .reference import (
+    OpKind,
     ReferenceOp,
     build_parity_logdepth,
     conjugate_parity_to_fanout,
@@ -203,26 +205,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force clean-computation check")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--against", choices=("parity", "fanout"), required=True)
+    p.add_argument("--against", choices=get_args(OpKind), required=True)
     p.add_argument("--strict", action="store_true", help="forbid global-phase slack")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lightcone", help="influence-set analysis and counterexample")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--against", choices=("parity", "fanout"), default="parity")
+    p.add_argument("--against", choices=get_args(OpKind), default="parity")
     p.set_defaults(func=cmd_lightcone)
 
     p = sub.add_parser("adversary", help="gate-killing witness and certificate")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--mode", choices=("basic", "improved"), default="improved")
-    p.add_argument("--against", choices=("parity", "fanout"), default="parity")
+    p.add_argument("--mode", choices=get_args(Mode), default="improved")
+    p.add_argument("--against", choices=get_args(OpKind), default="parity")
     p.add_argument("--out", help="certificate file path (stdout when omitted)")
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("bound", help="evaluate the depth lower-bound formulas")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, default=0)
-    p.add_argument("--gate", choices=("parity", "fanout"), required=True)
+    p.add_argument("--gate", choices=get_args(OpKind), required=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("build", help="emit a reference construction")

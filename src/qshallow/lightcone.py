@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import analyzed_circuit
 from .circuits import Circuit, MeasurementSpec, backward_cone
-from .reference import OpKind, check_op_kind
+from .reference import OpKind, analyzed_circuit, check_op_kind
 from .sim import PartialState, TargetReading, read_target, run
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -26,7 +26,7 @@ OpKind = Literal["parity", "fanout"]
 
 def check_op_kind(kind: str) -> None:
     """Refuse, with ``ValueError``, any operator kind but parity and fanout."""
-    if kind not in ("parity", "fanout"):
+    if kind not in get_args(OpKind):
         raise ValueError(f"unknown operator kind {kind!r}: expected parity or fanout")
 
 
@@ -179,6 +179,15 @@ def conjugate_parity_to_fanout(c: Circuit) -> Circuit:
     )
 
 
+def analyzed_circuit(c: Circuit, against: OpKind) -> Circuit:
+    """The circuit both no-side arguments analyze: the circuit itself against
+    parity; against fanout, its Hadamard conjugate, since a parity verdict on
+    the conjugate is a fanout verdict on the circuit. Any other ``against``
+    is refused."""
+    check_op_kind(against)
+    return conjugate_parity_to_fanout(c) if against == "fanout" else c
+
+
 @dataclass(frozen=True)
 class TradeoffBound:
     """Minimum-depth formulas for computing an operator on n bits with a
@@ -213,6 +222,7 @@ def tradeoff_bound(n: int, a: int, gate: OpKind) -> TradeoffBound:
     conjugation), never going below 0."""
     if n < 1 or a < 0:
         raise ValueError(f"need n >= 1, a >= 0, got n={n}, a={a}")
+    check_op_kind(gate)
     depth, fib, prev = 0, 1, 0  # fib = F(depth + 1), prev = F(depth)
     while (a + 1) * fib - a < n:
         depth, fib, prev = depth + 1, fib + prev, fib
@@ -221,8 +231,6 @@ def tradeoff_bound(n: int, a: int, gate: OpKind) -> TradeoffBound:
     if gate == "fanout":
         unbounded = max(unbounded - 2.0, 0.0)
         bounded = max(bounded - 2.0, 0.0)
-    elif gate != "parity":
-        raise ValueError(f"unknown gate {gate!r}")
     return TradeoffBound(
         gate=gate, n=n, a=a, unbounded_gate_depth=unbounded, bounded_gate_depth=bounded
     )

@@ -187,6 +187,14 @@ class PartialState:
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "amps", amps)
 
+    def __eq__(self, other: object) -> bool:
+        # Exact amplitudes; hashing still fails on the array, as for SingleQubit.
+        return (
+            isinstance(other, PartialState)
+            and self.wires == other.wires
+            and np.array_equal(self.amps, other.amps)
+        )
+
     @classmethod
     def _derived(cls, wires: tuple[int, ...], amps: np.ndarray) -> "PartialState":
         """A state whose ascending wires, complex ``2**len(wires)`` amplitudes

@@ -22,6 +22,7 @@ from qshallow import (
     build_parity_logdepth,
     certificate_from_json,
     certificate_to_json,
+    circuit_sha256,
     committed_bound,
     dense_operator,
     kill_base,
@@ -271,6 +272,35 @@ def test_verify_kill_refuses_a_pinned_wire_that_reads_one():
     assert read_target(run(c, rest.tensor(excited.psi)), MeasurementSpec(1)).p1 <= 1e-30
     result = verify_kill(c, excited)
     assert not result.ok and result.max_p1 == pytest.approx(1.0) and result.target_p1 is None
+
+
+@pytest.mark.parametrize("mode", ["basic", "improved"])
+def test_verify_kill_and_recheck_refuse_a_history_the_circuit_breaches(mode):
+    """Re-deriving the history on a circuit whose output-layer Toffoli touches
+    the target and a wire outside K raises ``InvariantError``; the replay
+    reads that as a refused history, and so does the recheck of a
+    certificate rehashed to that circuit."""
+    good = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),))
+    bad = Circuit(n=2, a=0, target=1, layers=(Layer([Toffoli((0,), 1)]),))
+    with pytest.raises(InvariantError, match="unexpected committed-side overlap"):
+        adversary._next_entry(bad, mode, ())
+    assert verify_kill(bad, kill_run(good, mode)) == adversary.VerifyKillResult(False, 0.0, None)
+    cert = parity_certificate(good, mode)
+    assert recheck_certificate(cert, good)
+    rehashed = dataclasses.replace(cert, circuit_sha256=circuit_sha256(bad))
+    assert recheck_certificate(rehashed, bad) is False
+
+
+def test_kill_step_refuses_a_run_past_the_input_layer():
+    c = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),) * 2)
+    with pytest.raises(ValueError, match="all 2 layers already processed"):
+        kill_step(kill_run(c, "improved"), c)
+
+
+def test_kill_base_refuses_an_unknown_mode():
+    c = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),))
+    with pytest.raises(ValueError, match="mode must be 'basic' or 'improved', got 'fast'"):
+        kill_base(c, "fast")
 
 
 def test_verify_kill_depth_one_z_fed_all_ones_rest():

@@ -245,6 +245,15 @@ def test_tradeoff_bound_validation():
         tradeoff_bound(0, 0, "parity")
     with pytest.raises(ValueError):
         tradeoff_bound(4, -1, "parity")
+    with pytest.raises(ValueError, match="unknown operator kind 'banana': expected parity or fanout"):
+        tradeoff_bound(4, 0, "banana")
+
+
+def test_reference_op_and_construction_refuse_no_summed_bits():
+    with pytest.raises(ValueError, match="reference op arity must be >= 1, got 0"):
+        ReferenceOp("parity", 0)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        parity_logdepth_depth(0)
 
 
 @pytest.mark.parametrize(

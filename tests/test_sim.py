@@ -18,10 +18,11 @@ from qshallow import (
     apply_layer,
     dense_operator,
     full_input_state,
+    kill_run,
     read_target,
     run,
 )
-from qshallow.randcirc import random_bounded_arity_circuit
+from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 from qshallow.sim import adjoint_gate, bit_table, column_probabilities
 
 # Little-endian CNOT(control=0, target=1): basis index b0 + 2*b1.
@@ -275,3 +276,23 @@ def test_norm_checks_fail_on_nan():
     c = Circuit(n=1, a=0, target=0, layers=(Layer([SingleQubit(0, [[np.nan, 0], [0, 1]])]),))
     with pytest.raises(ValueError, match="state norm nan"):
         run(c, PartialState.zero((0,)))
+
+
+def test_states_compare_by_wires_and_exact_amplitudes():
+    """A generated ``__eq__`` compared the amplitude arrays, so ``==`` on two
+    states, and on two kill runs, raised "the truth value of an array ... is
+    ambiguous". Equality is exact: a global phase makes a state unequal."""
+    s = PartialState((0, 1), [1, 0, 0, 0])
+    assert s == PartialState((0, 1), [1, 0, 0, 0])
+    assert s != PartialState((0, 1), [-1, 0, 0, 0])
+    assert s != PartialState((0, 2), [1, 0, 0, 0])
+    assert s != (s.wires, s.amps)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(s)
+    c = random_single_qubit_z_circuit(8, 1, 4, np.random.default_rng(1))
+    assert kill_run(c, "improved") == kill_run(c, "improved")
+
+
+def test_random_bounded_arity_circuit_refuses_arity_one():
+    with pytest.raises(ValueError, match="need max_arity >= 2"):
+        random_bounded_arity_circuit(4, 0, 2, np.random.default_rng(0), max_arity=1)
