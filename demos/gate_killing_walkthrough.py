@@ -69,7 +69,8 @@ print()
 cert = parity_certificate(c, "improved")
 print(f"verdict: {cert.verdict}, free input wire {cert.free_input}")
 print(f"circuit readings on the two test inputs: {cert.readings}")
-print(f"parity readings on the same inputs:      {cert.reference_readings}")
+# The flipped input has one more set bit, so parity's two readings sum to 1.
+print("parity readings on the same inputs:      sum to 1, so one is at least 1/2")
 print(f"independent recheck of the certificate:  {recheck_certificate(cert, c)}")
 print()
 print("the certificate itself is a plain JSON document:")

@@ -38,14 +38,14 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Literal, get_args
 
 import numpy as np
 
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
-from .reference import OpKind, analyzed_circuit, parity_mask
+from .reference import OpKind, analyzed_circuit
 from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
 from .verify import robust_check  # noqa: F401  (re-exported: part of this module's API)
@@ -301,28 +301,34 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
 class KillCertificate:
     """Re-checkable record that a circuit cannot compute parity (or fanout).
 
-    ``free_input`` is an input wire outside the final committed set; the two
-    test inputs are all-zeros over the uncommitted wires and the same with
-    ``free_input`` flipped, each tensored with the witness. ``readings``
-    holds the replay's final target reading (:func:`verify_kill`, ~0) once
-    per input, as it holds on both, while ``reference_readings`` are the
-    parity operator's (they sum to 1, so one is far from the circuit's).
+    It stores only what its checker cannot derive. ``psi_amps`` is the
+    witness over the final committed set, ``history[-1].committed``, and
+    ``free_input`` an input wire outside that set; the two test inputs are
+    all-zeros over the uncommitted wires and the same with ``free_input``
+    flipped, each tensored with the witness. ``readings`` holds the replay's
+    final target reading (:func:`verify_kill`, ~0) once per input, as it
+    holds on both. The parity operator's readings on the two inputs sum to
+    1, as the flipped input has one more set bit, so one of them is at
+    least 1/2, far from the circuit's.
 
-    ``ancilla_consistency`` reports whether the witness is |0> on every
-    ancilla wire. The verdict holds either way. The replay ends with the
-    target and every ancilla at |0>, so the output lies in the ancilla-zero
-    subspace. A circuit that cleanly computes parity (ancillae |0> in and
-    out, any per-input phase) maps the ancilla-zero inputs onto the
-    ancilla-zero outputs and, being unitary, the rest onto the rest, so its
-    input, the rest's state tensored with the witness, is ancilla-zero too.
-    An excited witness thus already contradicts clean computation, and a
-    consistent one gets the flip argument. Fanout follows through the
-    Hadamard conjugate, which leaves the ancillae alone.
+    The replay ends with the target and every ancilla at |0>, so the output
+    lies in the ancilla-zero subspace. A circuit that cleanly computes
+    parity (ancillae |0> in and out, any per-input phase) maps the
+    ancilla-zero inputs onto the ancilla-zero outputs and, being unitary,
+    the rest onto the rest, so its input, the rest's state tensored with the
+    witness, is ancilla-zero too. A witness excited on an ancilla thus
+    already contradicts clean computation, and any other gets the flip
+    argument. Fanout follows through the Hadamard conjugate, which leaves
+    the ancillae alone.
 
+    The fields are the document's schema: :func:`certificate_to_json` writes
+    them in field order and :func:`certificate_from_json` reads exactly them.
     A certificate that exists is well-formed: constructing one, also by
-    :func:`certificate_from_json` or ``dataclasses.replace``, refuses a shape
-    the construction never writes with ``ValueError("malformed kill
-    certificate: …")``. :func:`recheck_certificate` checks what it claims.
+    :func:`certificate_from_json` or ``dataclasses.replace``, refuses a field
+    of a type or a word the construction never writes with
+    ``ValueError("malformed kill certificate: …")``. Whether the fields fit
+    together, the witness's length and norm among them, and what they claim
+    is for :func:`recheck_certificate` to check.
     """
 
     version: str
@@ -330,12 +336,9 @@ class KillCertificate:
     against: OpKind
     mode: Mode
     history: tuple[KillHistoryEntry, ...]
-    psi_wires: tuple[int, ...]
     psi_amps: tuple[complex, ...]
     free_input: int | None
     readings: tuple[float, float] | None
-    reference_readings: tuple[float, float] | None
-    ancilla_consistency: bool
     verdict: str  # "not-parity" | "not-fanout" | "inconclusive"
 
     def __post_init__(self) -> None:
@@ -343,11 +346,12 @@ class KillCertificate:
             if not holds:
                 raise ValueError(f"malformed kill certificate: {rule}")
 
-        wires, amps = self.psi_wires, self.psi_amps
         kills = [r for e in self.history for r in e.killed]
         ints = [v for e in self.history for v in (e.k, *e.committed, *e.fresh)]
         ints += [v for r in kills for v in (r.layer, r.gate_index, r.pinned_wire, *r.wires)]
-        ints += [*wires] if self.free_input is None else [*wires, self.free_input]
+        if self.free_input is not None:
+            ints.append(self.free_input)
+        readings = self.readings
         # Each rule is tested only once the ones before it hold.
         require(self.version == __version__, f"version must be {__version__!r}")
         require(self.against in get_args(OpKind), "against must be parity or fanout")
@@ -356,38 +360,14 @@ class KillCertificate:
         require(all(r.via in vias for r in kills), f"each kill's via must be one of {vias}")
         ints_ok = all(type(v) is int for v in ints)  # a bool is not an int
         require(ints_ok, "wires and history integers must be ints")
-        require(all(v < w for v, w in zip(wires, wires[1:])), "witness wires must ascend")
-        require(len(amps) == 2 ** len(wires), "the witness needs 2**len(wires) amplitudes")
-        require(set(map(type, amps)) <= {complex}, "witness amplitudes must be complex")
-        for p in (self.readings, self.reference_readings):
-            pair = type(p) is tuple and len(p) == 2 and _numbers(p)
-            require(p is None or pair, "readings must each be None or two numbers")
-        require(type(self.ancilla_consistency) is bool, "ancilla_consistency must be a bool")
+        require(set(map(type, self.psi_amps)) <= {complex}, "witness amplitudes must be complex")
+        pair = type(readings) is tuple and len(readings) == 2 and _numbers(readings)
+        require(readings is None or pair, "readings must be None or two numbers")
 
 
 def _numbers(values: Iterable[object]) -> bool:
     """Whether every value is a float, or an int a float can hold (a bool is neither)."""
     return all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
-
-
-def _parity_readings(psi: PartialState, measured: int, n: int) -> tuple[float, float]:
-    """The parity operator's readings of the measured wire on a flip pair
-    around ``psi``, from ``psi`` and the bits alone: the baseline one is
-    psi's mass of odd parity and, the free input adding one set bit, the
-    flipped one its mass of even parity."""
-    mass = np.abs(psi.amps) ** 2
-    odd = parity_mask(psi.wires, measured, n)
-    return float(np.sum(mass[odd])), float(np.sum(mass[~odd]))
-
-
-def _ancilla_consistency(psi: PartialState, c: Circuit) -> bool:
-    """Whether the witness reads |0> on every ancilla it covers (an ancilla
-    it leaves out starts in |0>)."""
-    return all(
-        psi.restricted_probability(w, 1) <= READING_TOL
-        for w in range(c.n, c.wires)
-        if w in psi.wires
-    )
 
 
 def parity_certificate(
@@ -406,53 +386,29 @@ def parity_certificate(
     if not check.ok:
         raise InvariantError(f"witness failed: the replay refused it (max reading {check.max_p1})")
     free_input = next((w for w in s.rest if w < analyzed.n), None)
-    readings = reference_readings = None
-    if free_input is not None:
-        readings = (check.target_p1, check.target_p1)
-        reference_readings = _parity_readings(s.psi, analyzed.target, analyzed.n)
     return KillCertificate(
         version=__version__,
         circuit_sha256=circuit_sha256(c),
         against=against,
         mode=s.mode,
         history=s.history,
-        psi_wires=s.psi.wires,
         psi_amps=tuple(complex(v) for v in s.psi.amps),
         free_input=free_input,
-        readings=readings,
-        reference_readings=reference_readings,
-        ancilla_consistency=_ancilla_consistency(s.psi, analyzed),
+        readings=None if free_input is None else (check.target_p1, check.target_p1),
         verdict="inconclusive" if free_input is None else f"not-{against}",
     )
 
 
 def certificate_to_json(cert: KillCertificate) -> str:
+    # Field order is key order, so the dataclasses declare the schema; json
+    # writes a tuple as a list.
     obj = {
         "format": "kill-certificate",
-        "version": cert.version,
-        "circuit_sha256": cert.circuit_sha256,
-        "against": cert.against,
-        "mode": cert.mode,
-        # Field order is key order, so the dataclasses declare the history schema.
+        **vars(cert),
         "history": [{**vars(e), "killed": [vars(r) for r in e.killed]} for e in cert.history],
-        "witness": {
-            "wires": cert.psi_wires,
-            "amps": [[v.real, v.imag] for v in cert.psi_amps],
-        },
-        "free_input": cert.free_input,
-        "readings": cert.readings,  # json writes a tuple as a list
-        "reference_readings": cert.reference_readings,
-        "ancilla_consistency": cert.ancilla_consistency,
-        "verdict": cert.verdict,
+        "psi_amps": [[v.real, v.imag] for v in cert.psi_amps],
     }
     return json.dumps(obj, indent=1)
-
-
-def _object(value: object, keys: str) -> dict:
-    """``value`` if it is a JSON object with exactly the space-separated ``keys``."""
-    if not isinstance(value, dict) or value.keys() != set(keys.split()):
-        raise ValueError(f"expected an object with exactly the keys {keys!r}")
-    return value
 
 
 def _array(value: object) -> tuple:
@@ -465,31 +421,29 @@ def _array(value: object) -> tuple:
 def certificate_from_json(text: str) -> KillCertificate:
     """Parse a certificate document: map the JSON :func:`certificate_to_json`
     writes onto :class:`KillCertificate`, whose construction checks the rest
-    of the shape. Each object (the document, ``witness``, a history entry, a
-    kill record) must have exactly the keys the writer writes, each list
-    must be a JSON array, and each amplitude two numbers; anything else
-    raises ``ValueError("malformed kill certificate: …")``. A non-finite
-    reading or amplitude parses, and fails :func:`recheck_certificate`."""
+    of the shape. The document must have exactly the keys ``format`` and the
+    certificate's field names, and each history entry and kill record
+    exactly its dataclass's fields; each list must be a JSON array, and each
+    amplitude two numbers. Anything else raises ``ValueError("malformed kill
+    certificate: …")``. A non-finite reading or amplitude parses, and fails
+    :func:`recheck_certificate`."""
     obj = json.loads(text)
     if isinstance(obj, dict) and obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
+    names = [f.name for f in fields(KillCertificate)]
     try:
-        fields = dict(_object(obj, (
-            "format version circuit_sha256 against mode history witness free_input readings"
-            " reference_readings ancilla_consistency verdict"
-        )))
-        del fields["format"]
-        witness = _object(fields.pop("witness"), "wires amps")
-        fields["psi_wires"] = _array(witness["wires"])
-        amps = _array(witness["amps"])
+        if not isinstance(obj, dict) or obj.keys() != {"format", *names}:
+            raise ValueError(f"expected an object with exactly the keys format, {', '.join(names)}")
+        values = {name: obj[name] for name in names}
+        amps = _array(values["psi_amps"])
         pairs = all(isinstance(p, list) and len(p) == 2 for p in amps)
         if not (pairs and _numbers(itertools.chain.from_iterable(amps))):
             raise ValueError("each witness amplitude must be an array of two numbers")
-        fields["psi_amps"] = tuple(itertools.starmap(complex, amps))
-        for f in ("readings", "reference_readings"):
-            fields[f] = None if fields[f] is None else _array(fields[f])
+        values["psi_amps"] = tuple(itertools.starmap(complex, amps))
+        if values["readings"] is not None:
+            values["readings"] = _array(values["readings"])
         # The dataclasses refuse a history entry or kill record with a missing or extra key.
-        fields["history"] = tuple(
+        values["history"] = tuple(
             KillHistoryEntry(**{
                 **e,
                 "committed": _array(e["committed"]),
@@ -498,55 +452,47 @@ def certificate_from_json(text: str) -> KillCertificate:
                     KillRecord(**{**r, "wires": _array(r["wires"])}) for r in _array(e["killed"])
                 ),
             })
-            for e in _array(fields["history"])
+            for e in _array(values["history"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed kill certificate: {exc!r}") from exc
-    return KillCertificate(**fields)
+    return KillCertificate(**values)
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Check what a well-formed certificate claims about a circuit: its hash,
-    witness wires of the circuit, a unit-norm witness, and the witness's
-    ``ancilla_consistency``. The verdict is inconclusive, with no free input
-    or readings and a witness that covers every input, or ``not-{against}``,
-    with readings and an input wire outside the witness as free input. The
-    kill history must cover every layer of the analyzed circuit, and
-    :func:`verify_kill` replays it from the witness, so every ``committed``,
-    ``fresh`` and ``killed`` claim is checked and the target reads the same
-    whatever the uncommitted wires hold: both stored readings must lie within
-    ``READING_TOL`` of its final reading. The parity readings must match the
-    witness's (:func:`_parity_readings`) and sum to 1."""
-    # The analyzed circuit has the same wires as c.
-    if circuit_sha256(c) != cert.circuit_sha256 or not set(cert.psi_wires) <= set(range(c.wires)):
-        return False
-    try:
-        psi = PartialState(cert.psi_wires, np.array(cert.psi_amps, dtype=complex))
-    except ValueError:  # a norm other than 1
-        return False
-    if cert.ancilla_consistency != _ancilla_consistency(psi, c):
+    """Check what a well-formed certificate claims about a circuit. Its hash
+    must be the circuit's, its history must have one entry per layer of the
+    analyzed circuit, and its verdict must be inconclusive or
+    ``not-{against}``. Only then is the witness built, ``psi_amps`` over
+    ``history[-1].committed`` (ascending wires, unit norm), and
+    :func:`verify_kill` replays the history from it, so every
+    ``committed``, ``fresh`` and ``killed`` claim is checked and the target
+    reads the same whatever the uncommitted wires hold. An inconclusive
+    verdict has no free input or readings, and its witness covers every
+    input. Any other has an input wire outside the witness as free input,
+    and both stored readings within ``READING_TOL`` of the replay's final
+    target reading. The parity operator's readings need no check: on the
+    flip pair they sum to 1."""
+    if circuit_sha256(c) != cert.circuit_sha256:
         return False
     analyzed = analyzed_circuit(c, cert.against)
-    if len(cert.history) != analyzed.depth() or cert.verdict not in (
+    if not 0 < len(cert.history) == analyzed.depth() or cert.verdict not in (
         "inconclusive", f"not-{cert.against}"
     ):
         return False
-    rest = tuple(w for w in range(c.wires) if w not in psi.wires)
+    committed = cert.history[-1].committed
+    try:
+        psi = PartialState(committed, np.array(cert.psi_amps, dtype=complex))
+    except ValueError:  # wires out of order, not 2**len(wires) amplitudes, or a norm other than 1
+        return False
+    rest = tuple(w for w in range(c.wires) if w not in committed)
     check = verify_kill(analyzed, KillState(cert.mode, rest, psi, cert.history))
     if not check.ok:
         return False
-    claims = (cert.free_input, cert.readings, cert.reference_readings)
+    free_inputs = set(range(analyzed.n)).difference(committed)
     if cert.verdict == "inconclusive":  # no claims, and no input outside the witness
-        return claims == (None,) * 3 and set(range(analyzed.n)) <= set(psi.wires)
-    if None in claims or cert.free_input not in range(analyzed.n) or cert.free_input in psi.wires:
+        return (cert.free_input, cert.readings) == (None, None) and not free_inputs
+    if cert.free_input not in free_inputs or cert.readings is None:
         return False
-    stored = (*cert.readings, *cert.reference_readings)
-    reference = _parity_readings(psi, analyzed.target, analyzed.n)
-    recomputed = (check.target_p1, check.target_p1, *reference)
-    # Each check is written so that a NaN or an infinity anywhere fails it.
-    if not all(abs(v - w) <= READING_TOL for v, w in zip(stored, recomputed)):
-        return False
-    # The parity operator's two readings complement each other; the larger one
-    # certifies disagreement with the circuit's ~0 reading on that input.
-    ref0, ref1 = cert.reference_readings
-    return abs(ref0 + ref1 - 1.0) <= READING_TOL and max(ref0, ref1) >= 0.5 - READING_TOL
+    # Written so that a NaN or an infinity fails it.
+    return all(abs(v - check.target_p1) <= READING_TOL for v in cert.readings)

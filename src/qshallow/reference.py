@@ -76,18 +76,6 @@ def apply_reference(op: ReferenceOp, s: PartialState) -> PartialState:
     return PartialState(s.wires, out)
 
 
-def parity_mask(wires: tuple[int, ...], measured: int, n: int) -> np.ndarray:
-    """Over the amplitude indices of a state on ``wires``: where the parity
-    operator leaves the measured wire at 1, every wire outside ``wires``
-    being 0. The reading is the XOR of the counted wires: the input wires
-    among ``wires`` and the measured wire (b, itself an input or an ancilla)."""
-    counted = tuple(w for w in wires if w < n or w == measured)
-    # The op sums the counted wires into its b bit, left at 0; with no wire
-    # counted, one padding bit (always 0) keeps its arity at least 1.
-    op = ReferenceOp("parity", max(len(counted), 1))
-    return (op.basis_map(index_map(wires, counted)) >> op.n) & 1 == 1
-
-
 def reference_dense(op: ReferenceOp) -> np.ndarray:
     """Dense permutation matrix of the op on its own n+1 wires."""
     dim = 2 ** (op.n + 1)

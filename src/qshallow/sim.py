@@ -141,9 +141,14 @@ def _column_mass(x: np.ndarray) -> np.ndarray:
 def column_probabilities(block: np.ndarray, position: int, value: int = 1) -> np.ndarray:
     """Per column of a block: the probability that the wire at bit
     ``position`` reads ``value``, the int 0 or 1 (a bool is refused)."""
+    _check_bit(value)
+    return _column_mass(block.reshape(-1, 2, 1 << position, block.shape[1])[:, value])
+
+
+def _check_bit(value: object) -> None:
+    """Refuse, with ``ValueError``, anything but the int 0 or 1 (a bool too)."""
     if type(value) is not int or value not in (0, 1):
         raise ValueError(f"a wire reads the int 0 or 1, not {value!r}")
-    return _column_mass(block.reshape(-1, 2, 1 << position, block.shape[1])[:, value])
 
 
 def random_amps(width: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,13 +217,18 @@ class PartialState:
 
     @staticmethod
     def basis(wires: Iterable[int], bits: dict[int, int]) -> "PartialState":
-        """Basis state with the given wire -> bit assignment (missing wires are 0)."""
+        """Basis state with the given wire -> bit assignment (missing wires
+        are 0). A bit on a wire outside ``wires``, or one that is not the int
+        0 or 1, is refused with ``ValueError``."""
         wires = tuple(sorted(wires))
         check_width(len(wires))
+        position = {w: p for p, w in enumerate(wires)}
         index = 0
-        for p, w in enumerate(wires):
-            if bits.get(w, 0):
-                index |= 1 << p
+        for w, bit in bits.items():
+            if w not in position:
+                raise ValueError(f"wire {w!r} is not among the state's wires {wires}")
+            _check_bit(bit)
+            index |= bit << position[w]
         amps = np.zeros(2 ** len(wires), dtype=complex)
         amps[index] = 1.0
         return PartialState(wires, amps)
@@ -452,8 +462,7 @@ def _compile_layer(
             toffoli_bits |= support
     parts: list[Part] = []
     if flips is not None:
-        # float32 holds +-1 exactly, at half the memory of float64.
-        parts.append(SignFlip(np.where(flips, -1.0, 1.0).astype(np.float32), z_bits))
+        parts.append(SignFlip(np.where(flips, -1.0, 1.0), z_bits))
     if gather is not None:
         parts.append(Gather(gather, toffoli_bits))
     return parts, singles, used

@@ -43,6 +43,7 @@ import qshallow.sim as sim
 from qshallow.sim import READING_TOL, column_probabilities, tensor_indices
 
 from kill_oracle import strip_killed, two_suffix_verify_kill
+from test_flip_pair import plain_parity_reading
 from test_golden import DATA as GOLDEN, _certificate_circuits
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -488,6 +489,16 @@ def test_witness_pullback_structure():
 # -- certificates ------------------------------------------------------------
 
 
+def parity_readings(cert, c):
+    """The parity operator's readings of the target on the certificate's
+    flip pair, by the plain XOR oracle over its witness."""
+    wires = cert.history[-1].committed
+    return tuple(
+        plain_parity_reading(c.n, c.target, wires, cert.psi_amps, flip)
+        for flip in (None, cert.free_input)
+    )
+
+
 def test_certificate_identity_circuit():
     ident = Circuit(
         n=4,
@@ -499,8 +510,7 @@ def test_certificate_identity_circuit():
     assert cert.verdict == "not-parity"
     assert cert.free_input == 0
     assert cert.readings == (0.0, 0.0)
-    assert cert.reference_readings == (0.0, 1.0)
-    assert cert.ancilla_consistency
+    assert parity_readings(cert, ident) == (0.0, 1.0)
     assert recheck_certificate(cert, ident)
 
 
@@ -533,10 +543,8 @@ def test_certificate_campaign_not_parity_and_rechecks():
         assert cert.verdict == "not-parity", i
         assert cert.readings[0] <= 1e-9 and cert.readings[1] <= 1e-9
         # the parity operator's readings on the two inputs complement each other
-        assert cert.reference_readings[0] + cert.reference_readings[1] == pytest.approx(
-            1.0, abs=1e-9
-        )
-        assert max(cert.reference_readings) >= 0.5 - 1e-9
+        assert sum(parity_readings(cert, c)) == pytest.approx(1.0, abs=1e-9)
+        assert max(parity_readings(cert, c)) >= 0.5 - 1e-9
         assert recheck_certificate(cert, c)
 
 
@@ -547,8 +555,7 @@ def test_certificate_mixed_parity_witness_still_sound():
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity"
     assert cert.readings == (0.0, 0.0)
-    assert cert.reference_readings[0] == pytest.approx(0.5, abs=1e-12)
-    assert cert.reference_readings[1] == pytest.approx(0.5, abs=1e-12)
+    assert parity_readings(cert, c) == pytest.approx((0.5, 0.5), abs=1e-12)
     assert recheck_certificate(cert, c)
 
 
@@ -557,7 +564,8 @@ def test_certificate_pure_parity_witness_flips_by_one():
         n=3, a=0, target=2, layers=(Layer([SingleQubit(2, I2)]),)
     )
     cert = parity_certificate(ident, "improved")
-    assert abs(cert.reference_readings[0] - cert.reference_readings[1]) == 1.0
+    baseline, flipped = parity_readings(cert, ident)
+    assert abs(baseline - flipped) == 1.0
 
 
 def test_fanout_certificate_via_conjugation():
@@ -568,22 +576,21 @@ def test_fanout_certificate_via_conjugation():
     assert recheck_certificate(cert, c)
 
 
-def test_ancilla_consistency_flag():
-    # An ancilla fed by H in the output layer leaves the witness excited there.
-    c = Circuit(
-        n=2,
-        a=1,
-        target=1,
-        layers=(Layer([SingleQubit(2, HADAMARD)]), Layer([SingleQubit(1, HADAMARD)])),
-    )
-    cert = parity_certificate(c, "improved")
-    assert cert.verdict == "not-parity"
-    assert not cert.ancilla_consistency
+def test_a_witness_excited_on_an_ancilla_still_certifies():
+    """An H on an ancilla leaves the witness excited there, and the verdict
+    holds either way (see ``KillCertificate``): the certificate is
+    not-parity and rechecks. Without that H the witness is |0> on it."""
 
-    clean = Circuit(
-        n=2, a=1, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),)
-    )
-    assert parity_certificate(clean, "improved").ancilla_consistency
+    def ancilla_p1(layers):
+        c = Circuit(n=2, a=1, target=1, layers=layers)
+        cert = parity_certificate(c, "improved")
+        assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
+        psi = PartialState(cert.history[-1].committed, np.array(cert.psi_amps))
+        return psi.restricted_probability(2, 1)
+
+    output = Layer([SingleQubit(1, HADAMARD)])
+    assert ancilla_p1((Layer([SingleQubit(2, HADAMARD)]), output)) == pytest.approx(0.5)
+    assert ancilla_p1((output,)) == 0.0
 
 
 def test_parity_certificate_refuses_an_unknown_against_before_the_construction(monkeypatch):
@@ -609,13 +616,11 @@ def test_recheck_refuses_a_witness_whose_ancilla_ends_excited():
         layers=(Layer([ZGate((0, 1))]), Layer([SingleQubit(2, HADAMARD)])),
     )
     cert = parity_certificate(c, "improved")
-    assert cert.psi_wires == (2, 3) and cert.ancilla_consistency
+    assert cert.history[-1].committed == (2, 3)
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
     # Bit 1 of the witness index carries ancilla 3: swap its two halves.
     flipped = np.array(cert.psi_amps).reshape(2, 2)[::-1].ravel()
-    excited = dataclasses.replace(
-        cert, psi_amps=tuple(complex(v) for v in flipped), ancilla_consistency=False
-    )
+    excited = dataclasses.replace(cert, psi_amps=tuple(complex(v) for v in flipped))
     assert not recheck_certificate(excited, c)
     s = kill_run(c, "improved")
     check = verify_kill(c, dataclasses.replace(s, psi=PartialState(s.psi.wires, flipped)))
@@ -739,14 +744,13 @@ def test_certificate_json_roundtrip_byte_exact():
     [
         lambda obj: [obj],
         lambda obj: {k: v for k, v in obj.items() if k != "history"},
-        lambda obj: {k: v for k, v in obj.items() if k != "witness"},
+        lambda obj: {k: v for k, v in obj.items() if k != "psi_amps"},
         lambda obj: {**obj, "history": 5},
         lambda obj: {**obj, "readings": 0.0},
-        lambda obj: {**obj, "witness": {**obj["witness"], "amps": [[1.0]]}},
+        lambda obj: {**obj, "psi_amps": [[1.0]]},
         lambda obj: {**obj, "readings": "ab"},
         lambda obj: {**obj, "reference_readings": ["a", "b"]},
         lambda obj: {**obj, "readings": obj["readings"] + [0.0]},
-        lambda obj: {**obj, "reference_readings": obj["reference_readings"][:1]},
         lambda obj: {**obj, "readings": [False, False]},
         lambda obj: {**obj, "mode": "banana"},
         lambda obj: edit_step(obj, k=True),
@@ -760,13 +764,12 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: {**obj, "version": "9.9"},
         lambda obj: {**obj, "extra": 1},
         lambda obj: {**obj, "ancilla_consistency": 1},
-        lambda obj: edit_witness(obj, wires=["2", *obj["witness"]["wires"][1:]]),
-        lambda obj: edit_witness(obj, wires=[[2], *obj["witness"]["wires"][1:]]),
-        lambda obj: edit_witness(obj, wires=[None, *obj["witness"]["wires"][1:]]),
+        lambda obj: edit_witness_wire(obj, "2"),
+        lambda obj: edit_witness_wire(obj, [2]),
+        lambda obj: edit_witness_wire(obj, None),
         lambda obj: edit_step(obj, extra=1),
-        lambda obj: edit_witness(obj, extra=1),
         lambda obj: edit_kill(obj, extra=1),
-        lambda obj: edit_witness(obj, amps=[[1.0, False], *obj["witness"]["amps"][1:]]),
+        lambda obj: {**obj, "psi_amps": [[1.0, False], *obj["psi_amps"][1:]]},
     ],
     ids=[
         "array",
@@ -778,7 +781,6 @@ def test_certificate_json_roundtrip_byte_exact():
         "string-readings",
         "string-reference-readings",
         "three-readings",
-        "one-reference-reading",
         "bool-readings",
         "mode",
         "bool-k",
@@ -796,7 +798,6 @@ def test_certificate_json_roundtrip_byte_exact():
         "list-witness-wire",
         "null-witness-wire",
         "extra-history-key",
-        "extra-witness-key",
         "extra-kill-key",
         "bool-amplitude-part",
     ],
@@ -806,9 +807,10 @@ def test_certificate_from_json_refuses_a_malformed_document(edit):
     wrong shape is refused with ``ValueError``, not a crash of another type.
     That includes a ``mode`` other than basic or improved, a ``via`` the
     construction never writes, history integers that are not ints, a
-    ``version`` other than the package's, a field the writer never writes
-    at any level, an ``ancilla_consistency`` that is not a bool, witness
-    wires that are not ints, and an amplitude part that is not a number."""
+    ``version`` other than the package's, a field the writer does not write
+    at any level (an earlier layout's ``reference_readings`` or
+    ``ancilla_consistency`` among them), witness wires (the last committed
+    set) that are not ints, and an amplitude part that is not a number."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):
@@ -822,9 +824,11 @@ def edit_step(obj, step=0, **fields):
     return {**obj, "history": history}
 
 
-def edit_witness(obj, **fields):
-    """The document with ``fields`` replaced in its witness."""
-    return {**obj, "witness": {**obj["witness"], **fields}}
+def edit_witness_wire(obj, wire):
+    """The document with the witness's first wire, the first of the last
+    committed set, replaced by ``wire``."""
+    committed = obj["history"][-1]["committed"]
+    return edit_step(obj, -1, committed=[wire, *committed[1:]])
 
 
 def edit_kill(obj, **fields):
@@ -890,16 +894,18 @@ def test_recheck_refuses_every_edit_of_a_golden_kill_history():
     """Every decisive golden certificate rechecks, and no edit of its kill
     history does: each edit is refused when parsed or fails the recheck.
     The edited history is parsed from a document with a one-amplitude
-    witness, since the witness of a wide K takes most of the parse."""
+    witness, since the witness of a wide K takes most of the parse; an edit
+    of the last committed set leaves the certificate's own witness of the
+    wrong length, which fails the recheck."""
     count = 0
     for analyzed, c, obj in golden_certificates():
         cert = certificate_from_json(json.dumps(obj))
         assert recheck_certificate(cert, c)
-        small = {"wires": [], "amps": [[1.0, 0.0]]}
         for name, edited in history_edits(obj, analyzed):
             assert edited["history"] != obj["history"]
             try:
-                history = certificate_from_json(json.dumps({**edited, "witness": small})).history
+                doc = {**edited, "psi_amps": [[1.0, 0.0]]}
+                history = certificate_from_json(json.dumps(doc)).history
             except ValueError:
                 continue
             assert not recheck_certificate(dataclasses.replace(cert, history=history), c), name
@@ -946,13 +952,13 @@ def test_every_edit_of_a_golden_certificate_is_refused():
     """Every golden certificate, decisive or inconclusive, rechecks; every
     edit of :func:`document_edits` is refused with ``ValueError`` when
     parsed or fails the recheck, and raises nothing else. A wide witness
-    would take most of the time, and the witness maps onto its fields
-    independently of the rest: so an edit that leaves the witness alone is
-    parsed with a one-amplitude witness, and the certificate's own is put
-    back with ``dataclasses.replace``, and the witness itself is edited
-    where it has at most 1024 amplitudes (162 of the 187 certificates)."""
+    would take most of the time, and ``psi_amps`` maps onto its field
+    independently of the rest: so an edit that leaves it alone is parsed
+    with a one-amplitude witness, and the certificate's own is put back
+    with ``dataclasses.replace``, and the witness itself is edited where it
+    has at most 1024 amplitudes (162 of the 187 certificates)."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    small = {"wires": [], "amps": [[1.0, 0.0]]}
+    small = [[1.0, 0.0]]
     paths, rechecked = set(), 0
     for name, c in _certificate_circuits().items():
         for mode in ("basic", "improved"):
@@ -964,32 +970,29 @@ def test_every_edit_of_a_golden_certificate_is_refused():
                 cert = certificate_from_json(text)
                 assert recheck_certificate(cert, c)
                 for path, edited in document_edits(obj, c.wires):
-                    if path[:1] == ("witness",) and len(cert.psi_amps) > 1024:
+                    if path[:1] == ("psi_amps",) and len(cert.psi_amps) > 1024:
                         continue
                     paths.add(tuple(p for p in path if p != 0))
-                    kept = isinstance(edited, dict) and edited.get("witness") is obj["witness"]
-                    doc = {**edited, "witness": small} if kept else edited
+                    kept = isinstance(edited, dict) and edited.get("psi_amps") is obj["psi_amps"]
+                    doc = {**edited, "psi_amps": small} if kept else edited
                     try:
                         parsed = certificate_from_json(json.dumps(doc))
                         if kept:
-                            parsed = dataclasses.replace(
-                                parsed, psi_wires=cert.psi_wires, psi_amps=cert.psi_amps
-                            )
+                            parsed = dataclasses.replace(parsed, psi_amps=cert.psi_amps)
                     except ValueError:
                         continue
                     assert not recheck_certificate(parsed, c), (name, mode, against, path)
                     rechecked += 1
     assert rechecked > 1000
     # every level was reached: the document, the witness, a history entry and a kill record
-    assert {("witness", "amps"), ("history", "committed"), ("history", "killed", "via")} <= paths
+    assert {("psi_amps",), ("history", "committed"), ("history", "killed", "via")} <= paths
 
 
 def test_recheck_refuses_an_inconclusive_certificate_with_readings():
     c = rewrite_toffoli_to_z(build_parity_logdepth(4))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "inconclusive" and recheck_certificate(cert, c)
-    for edit in ({"reference_readings": (0.5, 0.5)}, {"readings": (0.0, 0.0)}):
-        assert not recheck_certificate(dataclasses.replace(cert, **edit), c)
+    assert not recheck_certificate(dataclasses.replace(cert, readings=(0.0, 0.0)), c)
 
 
 def test_recheck_rejects_wrong_circuit():
@@ -1026,11 +1029,9 @@ def test_recheck_rejects_a_free_input_that_is_not_free():
 @pytest.mark.parametrize(
     "edit",
     [
-        {"readings": "both", "reference_readings": "second"},
         {"readings": "both"},
+        {"readings": "first"},
         {"readings": "second"},
-        {"reference_readings": "second"},
-        {"reference_readings": "first"},
     ],
     ids=lambda edit: ",".join(f"{k}={v}" for k, v in edit.items()),
 )
@@ -1048,13 +1049,12 @@ def test_recheck_rejects_nan_readings(edit):
     assert not recheck_certificate(edited, c)
 
 
-def _reference_moved(first, second):
-    return lambda cert: {
-        "reference_readings": (
-            cert.reference_readings[0] + first,
-            cert.reference_readings[1] + second,
-        )
-    }
+def _witness_wires(cert, edit):
+    """The edit that gives the witness the wires ``edit`` makes of its own,
+    the last committed set."""
+    last = cert.history[-1]
+    edited = dataclasses.replace(last, committed=edit(last.committed))
+    return {"history": (*cert.history[:-1], edited)}
 
 
 @pytest.mark.parametrize(
@@ -1063,32 +1063,17 @@ def _reference_moved(first, second):
         ((12, 0, 4), lambda cert: {"verdict": "banana"}, False),
         ((12, 0, 4), lambda cert: {"verdict": "not-fanout"}, False),
         ((12, 0, 4), lambda cert: {"against": "banana", "verdict": "not-banana"}, True),
-        ((6, 2, 3), lambda cert: {"ancilla_consistency": True}, False),
         ((12, 0, 4), lambda cert: {"free_input": None}, False),
         ((12, 0, 4), lambda cert: {"readings": None}, False),
         ((12, 0, 4), lambda cert: {"readings": (0.5, cert.readings[1])}, False),
-        ((12, 0, 4), _reference_moved(1e-3, -1e-3), False),
-        ((12, 0, 4), _reference_moved(-1e-3, 1e-3), False),
-        ((12, 0, 4), _reference_moved(0.9 * sim.READING_TOL, 0.9 * sim.READING_TOL), False),
-        (
-            (12, 0, 4),
-            lambda cert: {"psi_wires": (cert.psi_wires[0] + 0.5,) + cert.psi_wires[1:]},
-            True,
-        ),
-        ((12, 0, 4), lambda cert: {"psi_wires": (-1,) + cert.psi_wires[1:]}, False),
+        ((12, 0, 4), lambda cert: _witness_wires(cert, lambda ws: (ws[0] + 0.5, *ws[1:])), True),
+        ((12, 0, 4), lambda cert: _witness_wires(cert, lambda ws: (-1, *ws[1:])), False),
         ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}, True),
-        ((12, 0, 4), lambda cert: {"reference_readings": cert.reference_readings + (0.0,)}, True),
         ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}, True),
         ((12, 0, 4), lambda cert: {"readings": (10**400, cert.readings[1])}, True),
-        ((12, 0, 4), lambda cert: {"reference_readings": (0, -(10**400))}, True),
         (
             (12, 0, 4),
-            lambda cert: {
-                "verdict": "inconclusive",
-                "free_input": None,
-                "readings": None,
-                "reference_readings": None,
-            },
+            lambda cert: {"verdict": "inconclusive", "free_input": None, "readings": None},
             False,
         ),
     ],
@@ -1096,35 +1081,26 @@ def _reference_moved(first, second):
         "verdict",
         "verdict-against-mismatch",
         "against",
-        "ancilla-consistency",
         "no-free-input",
         "no-readings",
         "reading-edited",
-        "reference-moved-up",
-        "reference-moved-down",
-        "reference-sum-above-1",
         "witness-wire-fractional",
         "witness-wire-negative",
         "third-reading",
-        "third-reference-reading",
         "one-reading",
         "reading-too-large-for-a-float",
-        "reference-too-large-for-a-float",
         "inconclusive-with-a-free-input",
     ],
 )
 def test_recheck_rejects_edited_claims(shape, edit, malformed):
-    """The verdict must be not-{against} for an against of parity or fanout,
-    and the ancilla flag must be the one the witness gives. The n=6, a=2
-    certificate's witness excites an ancilla, so its flag is false. A
-    not-parity verdict needs a free input and stored readings; each stored
-    reading must match the recomputed one within ``READING_TOL``, and the
-    reference readings must sum to 1, which two readings each raised by
-    less than the tolerance do not. A witness wire must be a wire the
-    circuit has. An inconclusive verdict is refused while an input lies
-    outside the witness. An unknown ``against``, a fractional witness wire
-    and a readings tuple that does not hold two numbers, or holds an int too
-    large for a float, are malformed."""
+    """The verdict must be not-{against} for an against of parity or fanout.
+    A not-parity verdict needs a free input and stored readings, and each
+    stored reading must match the replay's within ``READING_TOL``. A witness
+    wire (one of the last committed set) must be the construction's. An
+    inconclusive verdict is refused while an input lies outside the
+    witness. An unknown ``against``, a fractional witness wire and a
+    readings tuple that does not hold two numbers, or holds an int too large
+    for a float, are malformed."""
     c = random_single_qubit_z_circuit(*shape, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
@@ -1134,22 +1110,23 @@ def test_recheck_rejects_edited_claims(shape, edit, malformed):
 
 
 @pytest.mark.parametrize(
-    "edit, malformed",
+    "edit",
     [
-        (lambda cert: {"psi_wires": cert.psi_wires[::-1]}, True),
-        (lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)}, False),
-        (lambda cert: {"psi_amps": cert.psi_amps + (0j,)}, True),
+        lambda cert: _witness_wires(cert, lambda ws: ws[::-1]),
+        lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)},
+        lambda cert: {"psi_amps": cert.psi_amps + (0j,)},
     ],
     ids=["wires-out-of-order", "norm-2", "one-amplitude-too-many"],
 )
-def test_recheck_rejects_a_malformed_witness(edit, malformed):
-    """Witness wires out of order, or an amplitude count other than
-    2**len(wires), cannot be built; a witness of norm 2 fails the recheck.
-    Neither raises anything else."""
+def test_recheck_rejects_a_malformed_witness(edit):
+    """The recheck builds the witness from ``psi_amps`` over the last
+    committed set. Wires out of order, an amplitude count other than
+    2**len(wires) and a norm other than 1 each fail it, and raise nothing
+    else."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
-    assert len(cert.psi_wires) > 1 and recheck_certificate(cert, c)
-    assert_refused(cert, c, edit(cert), malformed)
+    assert len(cert.history[-1].committed) > 1 and recheck_certificate(cert, c)
+    assert_refused(cert, c, edit(cert), malformed=False)
 
 
 def test_small_committed_set_guarantees_free_input():

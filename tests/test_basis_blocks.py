@@ -166,7 +166,7 @@ def test_a_gather_enters_the_closed_form_inverted():
     is built by hand: out[i] = in[index[i]] takes basis state y to the row
     i with index[i] == y."""
     index = np.array([1, 2, 0, 3, 5, 6, 4, 7])
-    flip = SignFlip(np.float32([1, -1] * 4), 0b001)
+    flip = SignFlip(np.float64([1, -1] * 4), 0b001)
     compiled = CompiledLayers((0, 1, 2), (Gather(index, 0b011), Contraction(2, HAAR), flip))
     start, rest = leading_product(compiled)
     assert rest.parts == ()

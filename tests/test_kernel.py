@@ -651,9 +651,27 @@ def test_rewritten_log_depth_circuits_compile_to_fewer_contractions(against, con
     assert all(np.abs(p.u - np.eye(len(p.u))).max() > 1e-12 for p in found)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_sign_flip_holds_float64_signs_and_flips_exactly(real):
+    """A layer's Z-gates compile to float64 signs, the dtype of a real block
+    and the real part of a complex one; +-1 is exact in every dtype, so the
+    flip gives the bits float32 signs give."""
+    wires = tuple(range(5))
+    flip = compile_layers((Layer([ZGate((0, 1)), ZGate((2, 4))]),), wires).parts[0]
+    assert isinstance(flip, SignFlip) and flip.signs.dtype == np.float64
+    block = random_columns(np.random.default_rng(3), 5, 4)
+    block = block.real.copy() if real else block
+    expect = block * flip.signs.astype(np.float32)[:, None]
+    b = sim.Block(wires, block, np.empty_like(block))
+    flip.apply(b)
+    assert b.amps.dtype == expect.dtype and b.amps.tobytes() == expect.tobytes()
+
+
 def single_layer_parts_digest(kind):
     """sha256 over every part of every layer compiled alone, for seeded
-    draws of one ensemble over shuffled wire orders."""
+    draws of one ensemble over shuffled wire orders. The signs, +-1 in any
+    dtype, are hashed as the float32 they were stored as when the digests
+    were recorded."""
     h = hashlib.sha256()
     for seed in range(6):
         c, rng = ensemble(kind, 900 + seed, depth=4)
@@ -663,7 +681,9 @@ def single_layer_parts_digest(kind):
         for layer in c.layers:
             for p in compile_layers((layer,), wires).parts:
                 h.update(type(p).__name__.encode())
-                for name in ("signs", "index", "position", "u"):
+                if isinstance(p, SignFlip):
+                    h.update(p.signs.astype(np.float32).tobytes())
+                for name in ("index", "position", "u"):
                     if hasattr(p, name):
                         h.update(np.asarray(getattr(p, name)).tobytes())
     return h.hexdigest()

@@ -251,6 +251,27 @@ def test_full_input_state_forces_ancillae_zero():
     assert s.amps[0b0011] == 1.0
 
 
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ({5: 1, 0: 1}, "wire 5 is not among"),
+        ({0: 2}, "not 2"),
+        ({0: True}, "not True"),
+        ({1: 1.0}, "not 1.0"),
+        ({0: -1}, "not -1"),
+    ],
+    ids=["wire-outside", "two", "bool", "float", "minus-one"],
+)
+def test_basis_refuses_a_bad_bit(bits, message):
+    """A bit on a wire the state does not have, or one that is not the int
+    0 or 1, is refused rather than dropped or read as 1."""
+    with pytest.raises(ValueError, match=message):
+        PartialState.basis((0, 1), bits)
+    with pytest.raises(ValueError, match=message):
+        full_input_state(Circuit(n=2, a=0, target=1, layers=()), bits)
+    assert PartialState.basis((0, 1), {1: 1, 0: 0}).amps.tolist() == [0, 0, 1, 0]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_dense_operator_is_unitary(seed):
     rng = np.random.default_rng(seed)
