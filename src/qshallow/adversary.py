@@ -23,8 +23,9 @@ the readings of the target and every ancilla, which must be |0> (see
 If, after all layers, some input wire is still outside
 K, flipping it cannot move the target reading away from 0, while the parity
 operator's reading always flips, so the circuit provably does not compute
-parity. The serialized :class:`KillCertificate` lets anyone replay that
-argument with :func:`recheck_certificate`.
+parity. :func:`recheck_certificate` checks a serialized
+:class:`KillCertificate` with integers alone: its history must be the
+construction's.
 
 Layer bookkeeping uses application-order indices (``layers[0]`` first);
 the step counter k walks from the output layer (k = 1) toward the input
@@ -34,7 +35,6 @@ layer (k = depth).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import sys
@@ -45,6 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
+from .circuits import rewrite_toffoli_to_z
 from .reference import OpKind, analyzed_circuit
 from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
@@ -178,6 +179,25 @@ def _next_entry(
     return entry, inside
 
 
+def _replayed_steps(
+    c: Circuit, mode: Mode, history: tuple[KillHistoryEntry, ...]
+) -> list[list[Gate]] | None:
+    """The gates inside the previous K per step, or None unless the history
+    has 1 to depth entries, each the one :func:`_next_entry` appends next."""
+    if not 0 < len(history) <= c.depth():
+        return None
+    inside = []
+    for k, entry in enumerate(history):
+        try:
+            expected, gates = _next_entry(c, mode, history[:k])
+        except InvariantError:
+            return None
+        if entry != expected:
+            return None
+        inside.append(gates)
+    return inside
+
+
 def _record_step(
     c: Circuit,
     mode: Mode,
@@ -243,7 +263,7 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
     """Replay the witness exactly: start from ``s.psi`` on the final K and
     walk the processed layers toward the output. Each history entry must be
     the one the construction appends after the entries before it
-    (:func:`_next_entry`), and at each layer
+    (:func:`_replayed_steps`), and at each layer
 
     - every killed gate's pinned wire must read |0>, so the Z-gate acts as
       the identity whatever the uncommitted wires hold;
@@ -265,17 +285,9 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
         readings.extend(state.restricted_probability(w, 1) for w in wires)
         return max(readings) <= READING_TOL
 
-    if not 0 < len(s.history) <= c.depth() or s.psi.wires != s.committed:
+    inside = _replayed_steps(c, s.mode, s.history)  # per step, the gates applied to the state
+    if inside is None or s.psi.wires != s.committed:
         return VerifyKillResult(False, 0.0, None)
-    inside = []  # per step, the gates applied to the replayed state
-    for k, entry in enumerate(s.history):
-        try:
-            expected, gates = _next_entry(c, s.mode, s.history[:k])
-        except InvariantError:
-            expected = None
-        if entry != expected:
-            return VerifyKillResult(False, 0.0, None)
-        inside.append(gates)
     state = s.psi
     for k in reversed(range(len(s.history))):
         entry = s.history[k]
@@ -301,25 +313,26 @@ def verify_kill(c: Circuit, s: KillState, trials: int = 20, seed: int = 0) -> Ve
 class KillCertificate:
     """Re-checkable record that a circuit cannot compute parity (or fanout).
 
-    It stores only what its checker cannot derive. ``psi_amps`` is the
-    witness over the final committed set, ``history[-1].committed``, and
-    ``free_input`` an input wire outside that set; the two test inputs are
-    all-zeros over the uncommitted wires and the same with ``free_input``
-    flipped, each tensored with the witness. ``readings`` holds the replay's
-    final target reading (:func:`verify_kill`, ~0) once per input, as it
-    holds on both. The parity operator's readings on the two inputs sum to
-    1, as the flipped input has one more set bit, so one of them is at
-    least 1/2, far from the circuit's.
+    It stores only what its checker cannot derive: the kill history and
+    ``free_input``, an input wire outside the final committed set
+    ``history[-1].committed``. The witness over that set, the pull-back of
+    |0> through the history's inside gates (:func:`kill_run`), is derivable
+    and meets every pin by construction: a pinned wire enters it as |0> (at
+    the output, or as a recruit), and only Z-gates killed on it touch it up
+    to its kill. So the target reads 0 on both test inputs, all-zeros over
+    the uncommitted wires and the same with ``free_input`` flipped, each
+    tensored with the witness; ``readings`` holds the replay's final target
+    reading (:func:`verify_kill`, ~0) once per input. The parity operator's
+    readings on the two inputs sum to 1, as the flipped input has one more
+    set bit, so one of them is at least 1/2, far from the circuit's.
 
-    The replay ends with the target and every ancilla at |0>, so the output
-    lies in the ancilla-zero subspace. A circuit that cleanly computes
-    parity (ancillae |0> in and out, any per-input phase) maps the
+    The replay also ends with every ancilla at |0>. A circuit that cleanly
+    computes parity (ancillae |0> in and out, any per-input phase) maps the
     ancilla-zero inputs onto the ancilla-zero outputs and, being unitary,
-    the rest onto the rest, so its input, the rest's state tensored with the
-    witness, is ancilla-zero too. A witness excited on an ancilla thus
-    already contradicts clean computation, and any other gets the flip
-    argument. Fanout follows through the Hadamard conjugate, which leaves
-    the ancillae alone.
+    the rest onto the rest. So a witness excited on an ancilla already
+    contradicts clean computation, and any other gets the flip argument.
+    Fanout follows through the Hadamard conjugate, which leaves the
+    ancillae alone.
 
     The fields are the document's schema: :func:`certificate_to_json` writes
     them in field order and :func:`certificate_from_json` reads exactly them.
@@ -327,8 +340,7 @@ class KillCertificate:
     :func:`certificate_from_json` or ``dataclasses.replace``, refuses a field
     of a type or a word the construction never writes with
     ``ValueError("malformed kill certificate: …")``. Whether the fields fit
-    together, the witness's length and norm among them, and what they claim
-    is for :func:`recheck_certificate` to check.
+    together and what they claim is for :func:`recheck_certificate` to check.
     """
 
     version: str
@@ -336,7 +348,6 @@ class KillCertificate:
     against: OpKind
     mode: Mode
     history: tuple[KillHistoryEntry, ...]
-    psi_amps: tuple[complex, ...]
     free_input: int | None
     readings: tuple[float, float] | None
     verdict: str  # "not-parity" | "not-fanout" | "inconclusive"
@@ -346,41 +357,46 @@ class KillCertificate:
             if not holds:
                 raise ValueError(f"malformed kill certificate: {rule}")
 
-        kills = [r for e in self.history for r in e.killed]
-        ints = [v for e in self.history for v in (e.k, *e.committed, *e.fresh)]
-        ints += [v for r in kills for v in (r.layer, r.gate_index, r.pinned_wire, *r.wires)]
-        if self.free_input is not None:
-            ints.append(self.free_input)
-        readings = self.readings
+        history, readings = self.history, self.readings
         # Each rule is tested only once the ones before it hold.
         require(self.version == __version__, f"version must be {__version__!r}")
         require(self.against in get_args(OpKind), "against must be parity or fanout")
         require(self.mode in get_args(Mode), "mode must be basic or improved")
+        entries = type(history) is tuple and all(
+            isinstance(e, KillHistoryEntry)
+            and all(type(v) is tuple for v in (e.committed, e.fresh, e.killed))
+            and all(isinstance(r, KillRecord) and type(r.wires) is tuple for r in e.killed)
+            for e in history
+        )
+        require(entries, "history must be a tuple of entries, and each list in it a tuple")
+        kills = [r for e in history for r in e.killed]
         vias = get_args(Via)
         require(all(r.via in vias for r in kills), f"each kill's via must be one of {vias}")
+        ints = [v for e in history for v in (e.k, *e.committed, *e.fresh)]
+        ints += [v for r in kills for v in (r.layer, r.gate_index, r.pinned_wire, *r.wires)]
+        if self.free_input is not None:
+            ints.append(self.free_input)
         ints_ok = all(type(v) is int for v in ints)  # a bool is not an int
         require(ints_ok, "wires and history integers must be ints")
-        require(set(map(type, self.psi_amps)) <= {complex}, "witness amplitudes must be complex")
-        pair = type(readings) is tuple and len(readings) == 2 and _numbers(readings)
+        # A number is a float, or an int a float can hold (a bool is neither).
+        pair = type(readings) is tuple and len(readings) == 2 and all(
+            type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in readings
+        )
         require(readings is None or pair, "readings must be None or two numbers")
-
-
-def _numbers(values: Iterable[object]) -> bool:
-    """Whether every value is a float, or an int a float can hold (a bool is neither)."""
-    return all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
 
 
 def parity_certificate(
     c: Circuit, mode: Mode = "improved", against: OpKind = "parity"
 ) -> KillCertificate:
-    """Run the construction on ``analyzed_circuit(c, against)``, replay its
+    """Run the construction on the circuit the verdict is about, replay its
     witness (:func:`verify_kill`), and package the verdict with the first
-    free input. For ``against='fanout'`` the analyzed circuit is the Hadamard
-    conjugate, and the parity verdict on it certifies the fanout verdict on
-    ``c``. The replay proves that the target reads its final reading whatever
-    the uncommitted wires hold, so on both flip inputs; a replay that refuses
-    the witness raises ``InvariantError("witness failed: …")``."""
-    analyzed = analyzed_circuit(c, against)
+    free input. That circuit is ``analyzed_circuit(c, against)`` (for fanout
+    the Hadamard conjugate) with each Toffoli rewritten to H-Z-H, and the
+    certificate binds the hash of ``c``. The replay proves that the target
+    reads its final reading whatever the uncommitted wires hold, so on both
+    flip inputs; a replay that refuses the witness raises
+    ``InvariantError("witness failed: …")``."""
+    analyzed = rewrite_toffoli_to_z(analyzed_circuit(c, against))
     s = kill_run(analyzed, mode)
     check = verify_kill(analyzed, s)
     if not check.ok:
@@ -392,7 +408,6 @@ def parity_certificate(
         against=against,
         mode=s.mode,
         history=s.history,
-        psi_amps=tuple(complex(v) for v in s.psi.amps),
         free_input=free_input,
         readings=None if free_input is None else (check.target_p1, check.target_p1),
         verdict="inconclusive" if free_input is None else f"not-{against}",
@@ -406,7 +421,6 @@ def certificate_to_json(cert: KillCertificate) -> str:
         "format": "kill-certificate",
         **vars(cert),
         "history": [{**vars(e), "killed": [vars(r) for r in e.killed]} for e in cert.history],
-        "psi_amps": [[v.real, v.imag] for v in cert.psi_amps],
     }
     return json.dumps(obj, indent=1)
 
@@ -423,10 +437,9 @@ def certificate_from_json(text: str) -> KillCertificate:
     writes onto :class:`KillCertificate`, whose construction checks the rest
     of the shape. The document must have exactly the keys ``format`` and the
     certificate's field names, and each history entry and kill record
-    exactly its dataclass's fields; each list must be a JSON array, and each
-    amplitude two numbers. Anything else raises ``ValueError("malformed kill
-    certificate: …")``. A non-finite reading or amplitude parses, and fails
-    :func:`recheck_certificate`."""
+    exactly its dataclass's fields; each list must be a JSON array. Anything
+    else raises ``ValueError("malformed kill certificate: …")``. A
+    non-finite reading parses, and fails :func:`recheck_certificate`."""
     obj = json.loads(text)
     if isinstance(obj, dict) and obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
@@ -435,11 +448,6 @@ def certificate_from_json(text: str) -> KillCertificate:
         if not isinstance(obj, dict) or obj.keys() != {"format", *names}:
             raise ValueError(f"expected an object with exactly the keys format, {', '.join(names)}")
         values = {name: obj[name] for name in names}
-        amps = _array(values["psi_amps"])
-        pairs = all(isinstance(p, list) and len(p) == 2 for p in amps)
-        if not (pairs and _numbers(itertools.chain.from_iterable(amps))):
-            raise ValueError("each witness amplitude must be an array of two numbers")
-        values["psi_amps"] = tuple(itertools.starmap(complex, amps))
         if values["readings"] is not None:
             values["readings"] = _array(values["readings"])
         # The dataclasses refuse a history entry or kill record with a missing or extra key.
@@ -460,39 +468,29 @@ def certificate_from_json(text: str) -> KillCertificate:
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Check what a well-formed certificate claims about a circuit. Its hash
-    must be the circuit's, its history must have one entry per layer of the
-    analyzed circuit, and its verdict must be inconclusive or
-    ``not-{against}``. Only then is the witness built, ``psi_amps`` over
-    ``history[-1].committed`` (ascending wires, unit norm), and
-    :func:`verify_kill` replays the history from it, so every
-    ``committed``, ``fresh`` and ``killed`` claim is checked and the target
-    reads the same whatever the uncommitted wires hold. An inconclusive
-    verdict has no free input or readings, and its witness covers every
-    input. Any other has an input wire outside the witness as free input,
-    and both stored readings within ``READING_TOL`` of the replay's final
-    target reading. The parity operator's readings need no check: on the
-    flip pair they sum to 1."""
+    """Check what a well-formed certificate claims about a circuit, with
+    integers alone (nothing is simulated). Its hash must be the circuit's;
+    its history must have one entry per layer of the circuit the verdict is
+    about (as :func:`parity_certificate` picks it) and be exactly the
+    construction's (:func:`_replayed_steps`), whose witness meets every pin
+    (see :class:`KillCertificate`); and its verdict must be inconclusive,
+    with no free input or readings and every input in the last K, or
+    ``not-{against}``, with an input outside the last K as free input and
+    both readings within ``READING_TOL`` of 0. The parity operator's
+    readings need no check: on the flip pair they sum to 1."""
     if circuit_sha256(c) != cert.circuit_sha256:
         return False
-    analyzed = analyzed_circuit(c, cert.against)
-    if not 0 < len(cert.history) == analyzed.depth() or cert.verdict not in (
-        "inconclusive", f"not-{cert.against}"
+    analyzed = rewrite_toffoli_to_z(analyzed_circuit(c, cert.against))
+    if (
+        not 0 < len(cert.history) == analyzed.depth()
+        or cert.verdict not in ("inconclusive", f"not-{cert.against}")
+        or _replayed_steps(analyzed, cert.mode, cert.history) is None
     ):
         return False
-    committed = cert.history[-1].committed
-    try:
-        psi = PartialState(committed, np.array(cert.psi_amps, dtype=complex))
-    except ValueError:  # wires out of order, not 2**len(wires) amplitudes, or a norm other than 1
-        return False
-    rest = tuple(w for w in range(c.wires) if w not in committed)
-    check = verify_kill(analyzed, KillState(cert.mode, rest, psi, cert.history))
-    if not check.ok:
-        return False
-    free_inputs = set(range(analyzed.n)).difference(committed)
-    if cert.verdict == "inconclusive":  # no claims, and no input outside the witness
+    free_inputs = set(range(analyzed.n)).difference(cert.history[-1].committed)
+    if cert.verdict == "inconclusive":  # no claims, and no input outside the last K
         return (cert.free_input, cert.readings) == (None, None) and not free_inputs
     if cert.free_input not in free_inputs or cert.readings is None:
         return False
     # Written so that a NaN or an infinity fails it.
-    return all(abs(v - check.target_p1) <= READING_TOL for v in cert.readings)
+    return all(abs(v) <= READING_TOL for v in cert.readings)

@@ -133,7 +133,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     c = _read_circuit(args.circuit)
     if not is_single_qubit_z_circuit(c):
         print("note: rewriting Toffoli/Cnot gates to their H-Z-H form first")
-        c = rewrite_toffoli_to_z(c)
     cert = parity_certificate(c, args.mode, args.against)
     text = certificate_to_json(cert)
     if args.out:

@@ -44,7 +44,7 @@ from qshallow.sim import READING_TOL, column_probabilities, tensor_indices
 
 from kill_oracle import strip_killed, two_suffix_verify_kill
 from test_flip_pair import plain_parity_reading
-from test_golden import DATA as GOLDEN, _certificate_circuits
+from test_golden import golden_certificates
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -279,8 +279,9 @@ def test_verify_kill_refuses_a_pinned_wire_that_reads_one():
 def test_verify_kill_and_recheck_refuse_a_history_the_circuit_breaches(mode):
     """Re-deriving the history on a circuit whose output-layer Toffoli touches
     the target and a wire outside K raises ``InvariantError``; the replay
-    reads that as a refused history, and so does the recheck of a
-    certificate rehashed to that circuit."""
+    reads that as a refused history. The recheck analyzes that circuit's
+    H-Z-H rewrite, three layers deep, and refuses a certificate rehashed to
+    it on the history's length."""
     good = Circuit(n=2, a=0, target=1, layers=(Layer([SingleQubit(1, HADAMARD)]),))
     bad = Circuit(n=2, a=0, target=1, layers=(Layer([Toffoli((0,), 1)]),))
     with pytest.raises(InvariantError, match="unexpected committed-side overlap"):
@@ -491,10 +492,10 @@ def test_witness_pullback_structure():
 
 def parity_readings(cert, c):
     """The parity operator's readings of the target on the certificate's
-    flip pair, by the plain XOR oracle over its witness."""
-    wires = cert.history[-1].committed
+    flip pair, by the plain XOR oracle over the construction's witness."""
+    psi = kill_run(c, cert.mode).psi
     return tuple(
-        plain_parity_reading(c.n, c.target, wires, cert.psi_amps, flip)
+        plain_parity_reading(c.n, c.target, psi.wires, psi.amps, flip)
         for flip in (None, cert.free_input)
     )
 
@@ -585,8 +586,7 @@ def test_a_witness_excited_on_an_ancilla_still_certifies():
         c = Circuit(n=2, a=1, target=1, layers=layers)
         cert = parity_certificate(c, "improved")
         assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
-        psi = PartialState(cert.history[-1].committed, np.array(cert.psi_amps))
-        return psi.restricted_probability(2, 1)
+        return kill_run(c, "improved").psi.restricted_probability(2, 1)
 
     output = Layer([SingleQubit(1, HADAMARD)])
     assert ancilla_p1((Layer([SingleQubit(2, HADAMARD)]), output)) == pytest.approx(0.5)
@@ -604,25 +604,21 @@ def test_parity_certificate_refuses_an_unknown_against_before_the_construction(m
         parity_certificate(c, "improved", "banana")
 
 
-def test_recheck_refuses_a_witness_whose_ancilla_ends_excited():
+def test_verify_kill_refuses_a_witness_whose_ancilla_ends_excited():
     """The replay requires every ancilla, as well as the target, to read |0>
     at the output. Ancilla 3 meets no gate here, so a witness with it at |1>
     passes every step and ends with the target at |0>; only the ancilla's
-    final reading refuses it (the parent rechecked it True)."""
+    final reading refuses it."""
     c = Circuit(
         n=3,
         a=1,
         target=2,
         layers=(Layer([ZGate((0, 1))]), Layer([SingleQubit(2, HADAMARD)])),
     )
-    cert = parity_certificate(c, "improved")
-    assert cert.history[-1].committed == (2, 3)
-    assert cert.verdict == "not-parity" and recheck_certificate(cert, c)
-    # Bit 1 of the witness index carries ancilla 3: swap its two halves.
-    flipped = np.array(cert.psi_amps).reshape(2, 2)[::-1].ravel()
-    excited = dataclasses.replace(cert, psi_amps=tuple(complex(v) for v in flipped))
-    assert not recheck_certificate(excited, c)
     s = kill_run(c, "improved")
+    assert s.committed == (2, 3) and verify_kill(c, s).ok
+    # Bit 1 of the witness index carries ancilla 3: swap its two halves.
+    flipped = s.psi.amps.reshape(2, 2)[::-1].ravel()
     check = verify_kill(c, dataclasses.replace(s, psi=PartialState(s.psi.wires, flipped)))
     assert not check.ok
     assert check.target_p1 <= READING_TOL and abs(check.max_p1 - 1.0) <= 1e-12
@@ -744,10 +740,8 @@ def test_certificate_json_roundtrip_byte_exact():
     [
         lambda obj: [obj],
         lambda obj: {k: v for k, v in obj.items() if k != "history"},
-        lambda obj: {k: v for k, v in obj.items() if k != "psi_amps"},
         lambda obj: {**obj, "history": 5},
         lambda obj: {**obj, "readings": 0.0},
-        lambda obj: {**obj, "psi_amps": [[1.0]]},
         lambda obj: {**obj, "readings": "ab"},
         lambda obj: {**obj, "reference_readings": ["a", "b"]},
         lambda obj: {**obj, "readings": obj["readings"] + [0.0]},
@@ -769,15 +763,12 @@ def test_certificate_json_roundtrip_byte_exact():
         lambda obj: edit_witness_wire(obj, None),
         lambda obj: edit_step(obj, extra=1),
         lambda obj: edit_kill(obj, extra=1),
-        lambda obj: {**obj, "psi_amps": [[1.0, False], *obj["psi_amps"][1:]]},
     ],
     ids=[
         "array",
         "no-history",
-        "no-witness",
         "history-int",
         "scalar-readings",
-        "amp-1-value",
         "string-readings",
         "string-reference-readings",
         "three-readings",
@@ -799,7 +790,6 @@ def test_certificate_json_roundtrip_byte_exact():
         "null-witness-wire",
         "extra-history-key",
         "extra-kill-key",
-        "bool-amplitude-part",
     ],
 )
 def test_certificate_from_json_refuses_a_malformed_document(edit):
@@ -809,8 +799,8 @@ def test_certificate_from_json_refuses_a_malformed_document(edit):
     construction never writes, history integers that are not ints, a
     ``version`` other than the package's, a field the writer does not write
     at any level (an earlier layout's ``reference_readings`` or
-    ``ancilla_consistency`` among them), witness wires (the last committed
-    set) that are not ints, and an amplitude part that is not a number."""
+    ``ancilla_consistency`` among them), and wires of the last committed
+    set that are not ints."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):
@@ -836,18 +826,6 @@ def edit_kill(obj, **fields):
     step = next(i for i, e in enumerate(obj["history"]) if e["killed"])
     killed = obj["history"][step]["killed"]
     return edit_step(obj, step, killed=[{**killed[0], **fields}, *killed[1:]])
-
-
-def golden_certificates():
-    """(analyzed circuit, circuit, document) of every not-parity and
-    not-fanout certificate in ``tests/data/golden.json``."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    for name, c in _certificate_circuits().items():
-        for mode in ("basic", "improved"):
-            for against in ("parity", "fanout"):
-                text = golden[f"certificate {name} {mode} {against}"]
-                if text.startswith("{") and json.loads(text)["verdict"] != "inconclusive":
-                    yield adversary.analyzed_circuit(c, against), c, json.loads(text)
 
 
 def history_edits(obj, analyzed):
@@ -891,24 +869,18 @@ def history_edits(obj, analyzed):
 
 
 def test_recheck_refuses_every_edit_of_a_golden_kill_history():
-    """Every decisive golden certificate rechecks, and no edit of its kill
-    history does: each edit is refused when parsed or fails the recheck.
-    The edited history is parsed from a document with a one-amplitude
-    witness, since the witness of a wide K takes most of the parse; an edit
-    of the last committed set leaves the certificate's own witness of the
-    wrong length, which fails the recheck."""
+    """Every golden certificate rechecks, and no edit of its kill history
+    does: each edit is refused when parsed or fails the recheck."""
     count = 0
-    for analyzed, c, obj in golden_certificates():
-        cert = certificate_from_json(json.dumps(obj))
-        assert recheck_certificate(cert, c)
+    for case, analyzed, c, obj in golden_certificates():
+        assert recheck_certificate(certificate_from_json(json.dumps(obj)), c)
         for name, edited in history_edits(obj, analyzed):
             assert edited["history"] != obj["history"]
             try:
-                doc = {**edited, "psi_amps": [[1.0, 0.0]]}
-                history = certificate_from_json(json.dumps(doc)).history
+                cert = certificate_from_json(json.dumps(edited))
             except ValueError:
                 continue
-            assert not recheck_certificate(dataclasses.replace(cert, history=history), c), name
+            assert not recheck_certificate(cert, c), (case, name)
             count += 1
     assert count > 1000
 
@@ -951,41 +923,21 @@ def document_edits(node, wires):
 def test_every_edit_of_a_golden_certificate_is_refused():
     """Every golden certificate, decisive or inconclusive, rechecks; every
     edit of :func:`document_edits` is refused with ``ValueError`` when
-    parsed or fails the recheck, and raises nothing else. A wide witness
-    would take most of the time, and ``psi_amps`` maps onto its field
-    independently of the rest: so an edit that leaves it alone is parsed
-    with a one-amplitude witness, and the certificate's own is put back
-    with ``dataclasses.replace``, and the witness itself is edited where it
-    has at most 1024 amplitudes (162 of the 187 certificates)."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    small = [[1.0, 0.0]]
+    parsed or fails the recheck, and raises nothing else."""
     paths, rechecked = set(), 0
-    for name, c in _certificate_circuits().items():
-        for mode in ("basic", "improved"):
-            for against in ("parity", "fanout"):
-                text = golden[f"certificate {name} {mode} {against}"]
-                if not text.startswith("{"):
-                    continue
-                obj = json.loads(text)
-                cert = certificate_from_json(text)
-                assert recheck_certificate(cert, c)
-                for path, edited in document_edits(obj, c.wires):
-                    if path[:1] == ("psi_amps",) and len(cert.psi_amps) > 1024:
-                        continue
-                    paths.add(tuple(p for p in path if p != 0))
-                    kept = isinstance(edited, dict) and edited.get("psi_amps") is obj["psi_amps"]
-                    doc = {**edited, "psi_amps": small} if kept else edited
-                    try:
-                        parsed = certificate_from_json(json.dumps(doc))
-                        if kept:
-                            parsed = dataclasses.replace(parsed, psi_amps=cert.psi_amps)
-                    except ValueError:
-                        continue
-                    assert not recheck_certificate(parsed, c), (name, mode, against, path)
-                    rechecked += 1
+    for case, _, c, obj in golden_certificates():
+        assert recheck_certificate(certificate_from_json(json.dumps(obj)), c)
+        for path, edited in document_edits(obj, c.wires):
+            paths.add(tuple(p for p in path if p != 0))
+            try:
+                parsed = certificate_from_json(json.dumps(edited))
+            except ValueError:
+                continue
+            assert not recheck_certificate(parsed, c), (case, path)
+            rechecked += 1
     assert rechecked > 1000
-    # every level was reached: the document, the witness, a history entry and a kill record
-    assert {("psi_amps",), ("history", "committed"), ("history", "killed", "via")} <= paths
+    # every level was reached: the document, its readings, a history entry and a kill record
+    assert {("readings",), ("history", "committed"), ("history", "killed", "via")} <= paths
 
 
 def test_recheck_refuses_an_inconclusive_certificate_with_readings():
@@ -1036,8 +988,8 @@ def test_recheck_rejects_a_free_input_that_is_not_free():
     ids=lambda edit: ",".join(f"{k}={v}" for k, v in edit.items()),
 )
 def test_recheck_rejects_nan_readings(edit):
-    """Every stored reading is compared against a re-simulated one; a NaN
-    must fail that comparison rather than slip past a ``>`` test."""
+    """Every stored reading must lie within ``READING_TOL`` of 0; a NaN must
+    fail that comparison rather than slip past a ``>`` test."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
     assert recheck_certificate(cert, c)
@@ -1068,6 +1020,7 @@ def _witness_wires(cert, edit):
         ((12, 0, 4), lambda cert: {"readings": (0.5, cert.readings[1])}, False),
         ((12, 0, 4), lambda cert: _witness_wires(cert, lambda ws: (ws[0] + 0.5, *ws[1:])), True),
         ((12, 0, 4), lambda cert: _witness_wires(cert, lambda ws: (-1, *ws[1:])), False),
+        ((12, 0, 4), lambda cert: _witness_wires(cert, lambda ws: ws[::-1]), False),
         ((12, 0, 4), lambda cert: {"readings": cert.readings + (0.0,)}, True),
         ((12, 0, 4), lambda cert: {"readings": cert.readings[:1]}, True),
         ((12, 0, 4), lambda cert: {"readings": (10**400, cert.readings[1])}, True),
@@ -1086,6 +1039,7 @@ def _witness_wires(cert, edit):
         "reading-edited",
         "witness-wire-fractional",
         "witness-wire-negative",
+        "witness-wires-out-of-order",
         "third-reading",
         "one-reading",
         "reading-too-large-for-a-float",
@@ -1095,8 +1049,8 @@ def _witness_wires(cert, edit):
 def test_recheck_rejects_edited_claims(shape, edit, malformed):
     """The verdict must be not-{against} for an against of parity or fanout.
     A not-parity verdict needs a free input and stored readings, and each
-    stored reading must match the replay's within ``READING_TOL``. A witness
-    wire (one of the last committed set) must be the construction's. An
+    stored reading must lie within ``READING_TOL`` of 0. The witness wires,
+    the last committed set, must be the construction's, in order too. An
     inconclusive verdict is refused while an input lies outside the
     witness. An unknown ``against``, a fractional witness wire and a
     readings tuple that does not hold two numbers, or holds an int too large
@@ -1109,24 +1063,56 @@ def test_recheck_rejects_edited_claims(shape, edit, malformed):
     assert_refused(cert, c, edit, malformed)
 
 
+def _replaced_step(cert, step, **fields):
+    """The edit that replaces ``fields`` in history entry ``step``."""
+    history = list(cert.history)
+    history[step] = dataclasses.replace(history[step], **fields)
+    return {"history": tuple(history)}
+
+
+def _replaced_kill(cert, **fields):
+    """The edit that replaces ``fields`` in the first kill record."""
+    step = next(i for i, e in enumerate(cert.history) if e.killed)
+    first, *others = cert.history[step].killed
+    return _replaced_step(cert, step, killed=(dataclasses.replace(first, **fields), *others))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda cert: _witness_wires(cert, lambda ws: ws[::-1]),
-        lambda cert: {"psi_amps": tuple(2 * a for a in cert.psi_amps)},
-        lambda cert: {"psi_amps": cert.psi_amps + (0j,)},
+        lambda cert: {"history": 5},
+        lambda cert: {"history": list(cert.history)},
+        lambda cert: {"history": (5,)},
+        lambda cert: _replaced_step(cert, -1, committed=5),
+        lambda cert: _replaced_step(cert, -1, committed=list(cert.history[-1].committed)),
+        lambda cert: _replaced_step(cert, -1, fresh=None),
+        lambda cert: _replaced_step(cert, -1, killed=None),
+        lambda cert: _replaced_step(cert, -1, killed=(5,)),
+        lambda cert: _replaced_kill(cert, wires=5),
+        lambda cert: _replaced_kill(cert, wires=None),
     ],
-    ids=["wires-out-of-order", "norm-2", "one-amplitude-too-many"],
+    ids=[
+        "history-int",
+        "history-list",
+        "history-of-ints",
+        "int-committed",
+        "list-committed",
+        "null-fresh",
+        "null-killed",
+        "killed-of-ints",
+        "int-kill-wires",
+        "null-kill-wires",
+    ],
 )
-def test_recheck_rejects_a_malformed_witness(edit):
-    """The recheck builds the witness from ``psi_amps`` over the last
-    committed set. Wires out of order, an amplitude count other than
-    2**len(wires) and a norm other than 1 each fail it, and raise nothing
-    else."""
+def test_a_history_that_is_not_tuples_is_malformed(edit):
+    """``dataclasses.replace`` with a history, a history entry's
+    ``committed``, ``fresh`` or ``killed``, or a kill record's ``wires`` that
+    is not a tuple, or a history or ``killed`` of something other than
+    entries and kill records, raises the malformed ``ValueError``, not a
+    ``TypeError`` or an ``AttributeError``."""
     c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
     cert = parity_certificate(c, "improved")
-    assert len(cert.history[-1].committed) > 1 and recheck_certificate(cert, c)
-    assert_refused(cert, c, edit(cert), malformed=False)
+    assert_refused(cert, c, edit(cert), malformed=True)
 
 
 def test_small_committed_set_guarantees_free_input():

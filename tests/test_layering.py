@@ -5,7 +5,8 @@ gate-killing module, and ``verify``, ``lightcone`` and ``adversary`` import
 one another only where ``adversary`` re-exports ``robust_check``. Each
 vocabulary (operator kind, kill mode, kill justification) is one ``Literal``,
 and every list of its values, the CLI's choices included, is derived from it.
-The kill certificate's fields are its document's schema.
+The kill certificate's fields are its document's schema, and its recheck
+simulates nothing.
 """
 
 import ast
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 
 import qshallow
+import qshallow.adversary as adversary
+import qshallow.sim as sim
 from qshallow import (
     KillCertificate,
     certificate_from_json,
@@ -29,6 +32,8 @@ from qshallow.adversary import Mode, Via
 from qshallow.cli import build_parser
 from qshallow.randcirc import random_single_qubit_z_circuit
 from qshallow.reference import OpKind
+
+from test_golden import golden_certificates
 
 SRC = pathlib.Path(qshallow.__file__).parent
 VOCABULARIES = [set(get_args(t)) for t in (OpKind, Mode, Via)]
@@ -110,7 +115,7 @@ def test_the_certificate_document_is_its_fields_in_order(certified):
     )
     document = next(node for node in ast.walk(writer) if isinstance(node, ast.Dict))
     spelled = [key.value for key in document.keys if isinstance(key, ast.Constant)]
-    assert spelled == ["format", "history", "psi_amps"]
+    assert spelled == ["format", "history"]
 
 
 def test_a_document_of_the_earlier_layout_is_malformed(certified):
@@ -121,7 +126,7 @@ def test_a_document_of_the_earlier_layout_is_malformed(certified):
     head = ("format", "version", "circuit_sha256", "against", "mode", "history")
     earlier = {
         **{k: obj[k] for k in head},
-        "witness": {"wires": obj["history"][-1]["committed"], "amps": obj["psi_amps"]},
+        "witness": {"wires": obj["history"][-1]["committed"], "amps": [[1.0, 0.0]]},
         "free_input": obj["free_input"],
         "readings": obj["readings"],
         "reference_readings": [0.0, 1.0],
@@ -133,13 +138,28 @@ def test_a_document_of_the_earlier_layout_is_malformed(certified):
 
 
 def test_a_certificate_with_an_empty_history_fails_the_recheck(certified):
-    """With no history there are no witness wires, and the one-amplitude
-    witness over none is well-formed. The recheck refuses such a
-    certificate on the history's length before it reads the last committed
-    set, so it raises no ``IndexError``, read from its document too; so it
-    does with the witness left as it was."""
+    """With no history there is no last committed set, and the certificate
+    is well-formed. The recheck refuses it on the history's length before it
+    reads the last committed set, so it raises no ``IndexError``, read from
+    its document too."""
     c, cert = certified
-    empty = dataclasses.replace(cert, history=(), psi_amps=(1 + 0j,))
+    empty = dataclasses.replace(cert, history=())
     assert not recheck_certificate(empty, c)
     assert not recheck_certificate(certificate_from_json(certificate_to_json(empty)), c)
-    assert not recheck_certificate(dataclasses.replace(cert, history=()), c)
+
+
+def test_the_recheck_simulates_nothing(monkeypatch):
+    """The recheck is an integer check: with the witness replay, the layer
+    application and the compiled kernel refused, it still accepts every
+    golden certificate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recheck simulated")
+
+    monkeypatch.setattr(adversary, "apply_layer", refuse)
+    monkeypatch.setattr(adversary, "verify_kill", refuse)
+    monkeypatch.setattr(sim.CompiledLayers, "apply", refuse)
+    certificates = list(golden_certificates())
+    assert len(certificates) == 187
+    for case, _, c, obj in certificates:
+        assert recheck_certificate(certificate_from_json(json.dumps(obj)), c), case
