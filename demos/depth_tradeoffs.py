@@ -1,7 +1,16 @@
 # How deep must a circuit be to compute parity or fanout? The answer depends
 # on the gate model and on how many ancilla wires are allowed.
 
-from qshallow import build_parity_logdepth, parity_logdepth_depth, tradeoff_bound
+import numpy as np
+
+from qshallow import (
+    build_parity_logdepth,
+    parity_certificate,
+    parity_logdepth_depth,
+    random_single_qubit_z_circuit,
+    recheck_certificate,
+    tradeoff_bound,
+)
 
 # Lower bounds (compare integer depths against their ceilings):
 #   bounded-arity gates:     depth >= log2(n), any number of ancillae
@@ -14,6 +23,18 @@ print("    n      a=0     a=3     a=31    a=255")
 for n in (64, 256, 1024, 4096):
     row = [tradeoff_bound(n, a, "parity").unbounded_gate_depth for a in (0, 3, 31, 255)]
     print(f"{n:6d}  " + "  ".join(f"{v:6.2f}" for v in row))
+print()
+
+# The bound in action at n=1024: a depth-4 circuit of single-qubit + Z
+# layers (seed 0) gets a certificate that it computes no parity. The kill
+# history alone is the proof, so building and rechecking it simulates no
+# state, even at a=31, where the first committed set K holds 32 wires.
+print("n=1024, depth 4, seed 0: certificate verdict and final |K|")
+for a in (0, 3, 31):
+    c = random_single_qubit_z_circuit(1024, a, 4, np.random.default_rng(0))
+    cert = parity_certificate(c)
+    assert recheck_certificate(cert, c)
+    print(f"  a={a:<3d} {cert.verdict}, |K| = {len(cert.history[-1].committed)}")
 print()
 
 print("fanout sheds two layers from each bound:")

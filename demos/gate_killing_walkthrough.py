@@ -66,6 +66,8 @@ print(f"target reading on the all-ones rest-state: {reading.p1:.2e}")
 print()
 
 # Since K missed some input wire, the circuit ignores it -- parity would not.
+# The certificate is the kill history alone: the witness it implies meets
+# every pin, so it stores the circuit's readings as the proven 0.
 cert = parity_certificate(c, "improved")
 print(f"verdict: {cert.verdict}, free input wire {cert.free_input}")
 print(f"circuit readings on the two test inputs: {cert.readings}")

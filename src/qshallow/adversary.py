@@ -19,13 +19,14 @@ to :class:`KillState`'s history, which is the only place those facts live.
 replays the witness forward through the processed layers, checking each
 history entry, each kill's pinned |0> and each step's recruits, and ends on
 the readings of the target and every ancilla, which must be |0> (see
-:class:`KillCertificate` for why the ancillae make the verdict unconditional).
-If, after all layers, some input wire is still outside
-K, flipping it cannot move the target reading away from 0, while the parity
+:class:`KillCertificate` for why the ancillae make the verdict
+unconditional). If, after all layers, some input wire is still outside K,
+flipping it cannot move the target reading away from 0, while the parity
 operator's reading always flips, so the circuit provably does not compute
-parity. :func:`recheck_certificate` checks a serialized
-:class:`KillCertificate` with integers alone: its history must be the
-construction's.
+parity. :func:`parity_certificate` builds a :class:`KillCertificate` from
+the history alone, and :func:`recheck_certificate` checks a serialized one
+with integers alone: its history must be the construction's. Neither
+simulates anything; the witness and its replay are the numeric oracle.
 
 Layer bookkeeping uses application-order indices (``layers[0]`` first);
 the step counter k walks from the output layer (k = 1) toward the input
@@ -34,14 +35,11 @@ layer (k = depth).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Iterable, Literal, get_args
-
-import numpy as np
+from typing import Iterable, Iterator, Literal, get_args
 
 from ._version import __version__
 from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
@@ -112,11 +110,6 @@ def committed_bound(mode: Mode, a: int, k: int) -> int:
     if mode == "basic":
         return (a + 1) * 2 ** k
     return (a + 1) * 2 ** math.ceil(k / 2)
-
-
-def _check_mode(mode: Mode) -> None:
-    if mode not in get_args(Mode):
-        raise ValueError(f"mode must be 'basic' or 'improved', got {mode!r}")
 
 
 def _assert_bound(mode: Mode, c: Circuit, k: int, committed: tuple[int, ...]) -> None:
@@ -198,40 +191,46 @@ def _replayed_steps(
     return inside
 
 
-def _record_step(
-    c: Circuit,
-    mode: Mode,
-    history: tuple[KillHistoryEntry, ...],
-    entry: KillHistoryEntry,
-    psi: PartialState,
-) -> KillState:
-    """Check the cap on K after ``entry``'s step, and return the state with
-    that entry appended."""
-    _assert_bound(mode, c, entry.k, entry.committed)
-    committed = set(entry.committed)
-    rest = tuple(w for w in range(c.wires) if w not in committed)
+def _steps(
+    c: Circuit, mode: Mode, history: tuple[KillHistoryEntry, ...] = ()
+) -> Iterator[tuple[KillHistoryEntry, list[Gate]]]:
+    """The construction's steps after ``history``, through the input layer:
+    each entry :func:`_next_entry` appends, with the gates of its layer
+    inside the last K, once the cap on K after it holds. From the output
+    layer, the mode must be known and the circuit a single-qubit + Z circuit
+    of depth >= 1."""
+    if not history:
+        if mode not in get_args(Mode):
+            raise ValueError(f"mode must be 'basic' or 'improved', got {mode!r}")
+        if not is_single_qubit_z_circuit(c):
+            raise ValueError(
+                "construction needs a single-qubit + Z circuit; rewrite Toffoli/Cnot first"
+            )
+        if c.depth() < 1:
+            raise ValueError("construction needs depth >= 1")
+    while len(history) < c.depth():
+        entry, inside = _next_entry(c, mode, history)
+        _assert_bound(mode, c, entry.k, entry.committed)
+        history += (entry,)
+        yield entry, inside
+
+
+def _witness_step(c: Circuit, mode: Mode, s: KillState | None) -> KillState:
+    """Take the construction's step after ``s`` (:func:`_steps`) and pull the
+    witness over the last K (|0...0> on K_1 before the first step) back
+    through its inside gates, adding each wire pinned on this step at |0>."""
+    history = () if s is None else s.history
+    entry, inside = next(_steps(c, mode, history))
+    start = PartialState.zero(entry.committed) if s is None else s.psi
+    psi = apply_layer(Layer(map(adjoint_gate, inside)), start).extend_zeros(entry.fresh)
+    rest = tuple(sorted(set(range(c.wires)).difference(entry.committed)))
     return KillState(mode=mode, rest=rest, psi=psi, history=history + (entry,))
 
 
 def kill_base(c: Circuit, mode: Mode) -> KillState:
-    """Process the output layer: commit the target and every ancilla, choose
-    each wire's one-qubit witness factor, and kill Z-gates feeding them."""
-    _check_mode(mode)
-    if not is_single_qubit_z_circuit(c):
-        raise ValueError(
-            "construction needs a single-qubit + Z circuit; rewrite Toffoli/Cnot first"
-        )
-    if c.depth() < 1:
-        raise ValueError("construction needs depth >= 1")
-    entry, inside = _next_entry(c, mode, ())
-    zero = np.array([1.0, 0.0], dtype=complex)
-    factors = dict.fromkeys(entry.committed, zero)
-    for g in inside:
-        factors[g.wire] = g.u.conj().T @ zero
-    psi = functools.reduce(
-        PartialState.tensor, (PartialState((w,), factors[w]) for w in entry.committed)
-    )
-    return _record_step(c, mode, (), entry, psi)
+    """Process the output layer: commit the target and every ancilla, kill
+    the Z-gates touching them, and pull |0...0> on them back through the rest."""
+    return _witness_step(c, mode, None)
 
 
 def kill_step(s: KillState, c: Circuit) -> KillState:
@@ -239,9 +238,7 @@ def kill_step(s: KillState, c: Circuit) -> KillState:
     gates inside K back through the witness, and pin each recruit to |0>."""
     if s.k >= c.depth():
         raise ValueError(f"all {c.depth()} layers already processed")
-    entry, inside = _next_entry(c, s.mode, s.history)
-    psi = apply_layer(Layer(map(adjoint_gate, inside)), s.psi).extend_zeros(entry.fresh)
-    return _record_step(c, s.mode, s.history, entry, psi)
+    return _witness_step(c, s.mode, s)
 
 
 def kill_run(c: Circuit, mode: Mode) -> KillState:
@@ -316,18 +313,20 @@ class KillCertificate:
     It stores only what its checker cannot derive: the kill history and
     ``free_input``, an input wire outside the final committed set
     ``history[-1].committed``. The witness over that set, the pull-back of
-    |0> through the history's inside gates (:func:`kill_run`), is derivable
-    and meets every pin by construction: a pinned wire enters it as |0> (at
-    the output, or as a recruit), and only Z-gates killed on it touch it up
-    to its kill. So the target reads 0 on both test inputs, all-zeros over
-    the uncommitted wires and the same with ``free_input`` flipped, each
-    tensored with the witness; ``readings`` holds the replay's final target
-    reading (:func:`verify_kill`, ~0) once per input. The parity operator's
-    readings on the two inputs sum to 1, as the flipped input has one more
-    set bit, so one of them is at least 1/2, far from the circuit's.
+    |0...0> on K_1 (the target and every ancilla) through the history's
+    inside gates (:func:`kill_run`), is derivable and meets every pin by
+    construction: a pinned wire enters it as |0> (at the output, or as a
+    recruit), and only Z-gates killed on it touch it up to its kill. So the
+    target reads exactly 0 on both test inputs, all-zeros over the
+    uncommitted wires and the same with ``free_input`` flipped, each
+    tensored with the witness; ``readings`` holds that proven 0 once per
+    input, ``(0.0, 0.0)``. The parity operator's readings on the two inputs
+    sum to 1, as the flipped input has one more set bit, so one of them is
+    at least 1/2, far from the circuit's.
 
-    The replay also ends with every ancilla at |0>. A circuit that cleanly
-    computes parity (ancillae |0> in and out, any per-input phase) maps the
+    Replayed to the output, the witness also leaves every ancilla at |0>,
+    where it started as |0...0> on K_1. A circuit that cleanly computes
+    parity (ancillae |0> in and out, any per-input phase) maps the
     ancilla-zero inputs onto the ancilla-zero outputs and, being unitary,
     the rest onto the rest. So a witness excited on an ancilla already
     contradicts clean computation, and any other gets the flip argument.
@@ -388,28 +387,25 @@ class KillCertificate:
 def parity_certificate(
     c: Circuit, mode: Mode = "improved", against: OpKind = "parity"
 ) -> KillCertificate:
-    """Run the construction on the circuit the verdict is about, replay its
-    witness (:func:`verify_kill`), and package the verdict with the first
-    free input. That circuit is ``analyzed_circuit(c, against)`` (for fanout
-    the Hadamard conjugate) with each Toffoli rewritten to H-Z-H, and the
-    certificate binds the hash of ``c``. The replay proves that the target
-    reads its final reading whatever the uncommitted wires hold, so on both
-    flip inputs; a replay that refuses the witness raises
-    ``InvariantError("witness failed: …")``."""
+    """Run the construction's steps (:func:`_steps`) on the circuit the
+    verdict is about, and package their history with the first free input.
+    That circuit is ``analyzed_circuit(c, against)`` (for fanout the
+    Hadamard conjugate) with each Toffoli rewritten to H-Z-H, and the
+    certificate binds the hash of ``c``. Nothing is simulated, so no width
+    limit applies: the target reads exactly 0 on both flip inputs (see
+    :class:`KillCertificate`), and a decisive certificate stores that as
+    its readings, ``(0.0, 0.0)``."""
     analyzed = rewrite_toffoli_to_z(analyzed_circuit(c, against))
-    s = kill_run(analyzed, mode)
-    check = verify_kill(analyzed, s)
-    if not check.ok:
-        raise InvariantError(f"witness failed: the replay refused it (max reading {check.max_p1})")
-    free_input = next((w for w in s.rest if w < analyzed.n), None)
+    history = tuple(entry for entry, _ in _steps(analyzed, mode))
+    free_input = min(set(range(analyzed.n)).difference(history[-1].committed), default=None)
     return KillCertificate(
         version=__version__,
         circuit_sha256=circuit_sha256(c),
         against=against,
-        mode=s.mode,
-        history=s.history,
+        mode=mode,
+        history=history,
         free_input=free_input,
-        readings=None if free_input is None else (check.target_p1, check.target_p1),
+        readings=None if free_input is None else (0.0, 0.0),
         verdict="inconclusive" if free_input is None else f"not-{against}",
     )
 
@@ -435,12 +431,15 @@ def _array(value: object) -> tuple:
 def certificate_from_json(text: str) -> KillCertificate:
     """Parse a certificate document: map the JSON :func:`certificate_to_json`
     writes onto :class:`KillCertificate`, whose construction checks the rest
-    of the shape. The document must have exactly the keys ``format`` and the
-    certificate's field names, and each history entry and kill record
-    exactly its dataclass's fields; each list must be a JSON array. Anything
-    else raises ``ValueError("malformed kill certificate: …")``. A
-    non-finite reading parses, and fails :func:`recheck_certificate`."""
-    obj = json.loads(text)
+    of the shape. The document must be JSON, with exactly the keys
+    ``format`` and the certificate's field names, and each history entry and
+    kill record exactly its dataclass's fields; each list must be a JSON
+    array. Anything else raises ``ValueError("malformed kill certificate:
+    …")``. A non-finite reading parses, and fails :func:`recheck_certificate`."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed kill certificate: {exc!r}") from exc
     if isinstance(obj, dict) and obj.get("format") != "kill-certificate":
         raise ValueError(f"not a kill certificate: format={obj.get('format')!r}")
     names = [f.name for f in fields(KillCertificate)]

@@ -599,7 +599,7 @@ def test_parity_certificate_refuses_an_unknown_against_before_the_construction(m
     def construction(*args):
         raise AssertionError("the construction ran")
 
-    monkeypatch.setattr(adversary, "kill_run", construction)
+    monkeypatch.setattr(adversary, "_next_entry", construction)
     with pytest.raises(ValueError, match="unknown operator kind 'banana'"):
         parity_certificate(c, "improved", "banana")
 
@@ -709,16 +709,6 @@ def test_certificate_path_simulates_no_whole_circuit(monkeypatch, mode, against)
     assert recheck_certificate(cert, c)
 
 
-def test_parity_certificate_refuses_a_witness_the_replay_refuses(monkeypatch):
-    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
-    s = kill_run(c, "improved")
-    bad = dataclasses.replace(s, psi=PartialState.random(s.psi.wires, np.random.default_rng(1)))
-    assert not verify_kill(c, bad).ok
-    monkeypatch.setattr(adversary, "kill_run", lambda analyzed, mode: bad)
-    with pytest.raises(InvariantError, match="^witness failed: "):
-        parity_certificate(c, "improved", "parity")
-
-
 def test_certificate_json_roundtrip_byte_exact():
     rng = np.random.default_rng(4)
     c = random_single_qubit_z_circuit(10, 0, 3, rng)
@@ -805,6 +795,26 @@ def test_certificate_from_json_refuses_a_malformed_document(edit):
     obj = json.loads(certificate_to_json(parity_certificate(c, "improved")))
     with pytest.raises(ValueError, match="^malformed kill certificate: "):
         certificate_from_json(json.dumps(edit(obj)))
+
+
+@pytest.mark.parametrize(
+    "truncate",
+    [
+        lambda text: "",
+        lambda text: text[:1],
+        lambda text: text[: len(text) // 2],
+        lambda text: text[:-1],
+    ],
+    ids=["empty", "brace", "half", "no-last-brace"],
+)
+def test_certificate_from_json_refuses_a_truncated_document(truncate):
+    """A document that is not JSON, as a truncated one is, is malformed too:
+    its ``JSONDecodeError`` is wrapped, not let through."""
+    c = random_single_qubit_z_circuit(12, 0, 4, np.random.default_rng(0))
+    text = certificate_to_json(parity_certificate(c, "improved"))
+    with pytest.raises(ValueError, match="^malformed kill certificate: ") as exc:
+        certificate_from_json(truncate(text))
+    assert isinstance(exc.value.__cause__, json.JSONDecodeError)
 
 
 def edit_step(obj, step=0, **fields):

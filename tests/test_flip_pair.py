@@ -3,9 +3,9 @@ share no code with the verdict, with the measured wire at 0, at n-1 and on an
 ancilla. The parity operator's readings (the lightcone pair's
 ``parity_readings``, and the flip-pair lemma that a certificate rests on)
 against a plain-Python XOR over basis indices; the circuit's (the
-certificate's ``readings``, taken from the exact witness replay, and the
-lightcone pair's, simulated on the measured wire's backward cone) against a
-simulation over every wire. Also smoke tests at paper scale."""
+certificate's ``readings``, the proven 0, on the witness ``kill_run``
+builds, and the lightcone pair's, simulated on the measured wire's backward
+cone) against a simulation over every wire. Also smoke tests at paper scale."""
 
 from __future__ import annotations
 
@@ -164,12 +164,19 @@ def test_certificate_at_n_1000_rechecks():
     assert recheck_certificate(cert, c)
 
 
-@pytest.mark.parametrize("depth, seed", [(4, 9), (6, 1), (6, 6), (6, 9)])
-def test_certificate_at_n_1024_beyond_the_cone_limit(depth, seed):
+BEYOND_THE_CONE_LIMIT = [
+    *(pytest.param(3, d, s, id=f"{d}-{s}") for d, s in ((4, 9), (6, 1), (6, 6), (6, 9))),
+    *(pytest.param(31, d, s, id=f"a=31-{d}-{s}") for d in (4, 6) for s in range(3)),
+]
+
+
+@pytest.mark.parametrize("a, depth, seed", BEYOND_THE_CONE_LIMIT)
+def test_certificate_at_n_1024_beyond_the_cone_limit(a, depth, seed):
     """a=3 draws whose target cone spans 25 to 34 wires, beyond the
-    simulation limit, while the committed set holds 5 to 12: the certificate
-    needs only the replay on the committed set."""
-    c = random_single_qubit_z_circuit(1024, 3, depth, np.random.default_rng(seed))
+    simulation limit, while the committed set holds 5 to 12, and a=31 draws,
+    whose first committed set alone holds 32 wires: the certificate is the
+    kill history, so it simulates neither."""
+    c = random_single_qubit_z_circuit(1024, a, depth, np.random.default_rng(seed))
     cert = parity_certificate(c)
-    assert cert.verdict == "not-parity"
+    assert cert.verdict == "not-parity" and cert.readings == (0.0, 0.0)
     assert recheck_certificate(certificate_from_json(certificate_to_json(cert)), c)

@@ -4,12 +4,14 @@
 produces: ``certificate_to_json`` of a kill certificate, or ``repr`` of a
 lightcone counterexample pair. The test regenerates every case and compares
 the text character for character, so any change to a certificate or a pair
-shows up, down to the last digit of a reading. The numeric oracle under the
-integer recheck runs here too: each golden certificate's witness, rebuilt
-by the construction, must replay to its stored readings.
+shows up, down to the last digit of a pair's reading. A certificate holds no
+computed float: its readings are the proven 0, exactly. The numeric oracle
+under the integer recheck runs here too: each golden certificate's witness,
+rebuilt by the construction, must replay to its stored readings.
 
 Regenerate the data (only for a change that is meant to alter the bytes, such
-as a different floating-point rounding, and say so in the change log) with::
+as a change to the kill rule or to the document, and say so in the change
+log) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -58,8 +60,8 @@ def _certificate_circuits() -> dict[str, Circuit]:
         for seed in (0, 1)
     }
     # Z-heavy draws and wider ancilla registers: most output-layer wires are
-    # fed by Z-gates, so the witness's last digits and zero signs depend on
-    # exactly how each factor and the pulled-back layers are computed.
+    # fed by Z-gates, so these pin histories rich in base-zero and fresh-zero
+    # kills, and large first committed sets.
     for n in (8, 12):
         for depth in (4, 6):
             for a in (3, 5):
@@ -147,6 +149,16 @@ def test_the_witness_replay_confirms_every_golden_certificate():
         assert all(abs(v - check.target_p1) <= READING_TOL for v in cert.readings or ()), case
         count += 1
     assert count == 187
+
+
+def test_every_golden_reading_is_the_proven_zero():
+    """A certificate stores the readings the kill history proves, not
+    simulated ones: null for an inconclusive verdict, else exactly 0 on both
+    flip inputs, so float rounding cannot change a golden byte."""
+    readings = [obj["readings"] for _, _, _, obj in golden_certificates()]
+    assert len(readings) == 187
+    assert all(r is None or json.dumps(r) == "[0.0, 0.0]" for r in readings)
+    assert readings.count(None) == 22
 
 
 def test_verdict_bytes_match_golden_data():

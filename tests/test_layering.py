@@ -5,8 +5,9 @@ gate-killing module, and ``verify``, ``lightcone`` and ``adversary`` import
 one another only where ``adversary`` re-exports ``robust_check``. Each
 vocabulary (operator kind, kill mode, kill justification) is one ``Literal``,
 and every list of its values, the CLI's choices included, is derived from it.
-The kill certificate's fields are its document's schema, and its recheck
-simulates nothing.
+The kill certificate's fields are its document's schema, and neither its
+build nor its recheck simulates anything; the gate-killing module leaves all
+amplitude arithmetic to ``sim``.
 """
 
 import ast
@@ -149,17 +150,34 @@ def test_a_certificate_with_an_empty_history_fails_the_recheck(certified):
 
 
 def test_the_recheck_simulates_nothing(monkeypatch):
-    """The recheck is an integer check: with the witness replay, the layer
-    application and the compiled kernel refused, it still accepts every
-    golden certificate."""
+    """Building and rechecking a certificate are integer work: with the
+    witness replay, the layer application, the slice compiler and the
+    compiled kernel refused, ``parity_certificate`` still rebuilds every
+    golden certificate byte for byte, and the recheck accepts each."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the recheck simulated")
+        raise AssertionError("the certificate path simulated")
 
     monkeypatch.setattr(adversary, "apply_layer", refuse)
     monkeypatch.setattr(adversary, "verify_kill", refuse)
+    monkeypatch.setattr(sim, "compile_layers", refuse)
     monkeypatch.setattr(sim.CompiledLayers, "apply", refuse)
     certificates = list(golden_certificates())
     assert len(certificates) == 187
     for case, _, c, obj in certificates:
+        cert = parity_certificate(c, obj["mode"], obj["against"])
+        assert certificate_to_json(cert) == json.dumps(obj, indent=1), case
         assert recheck_certificate(certificate_from_json(json.dumps(obj)), c), case
+
+
+def test_all_amplitude_arithmetic_lives_in_sim():
+    """The gate-killing module imports neither numpy nor functools: its
+    witness steps go through ``sim``'s entry points."""
+    imported = set()
+    for node in ast.walk(trees()["adversary"]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"numpy", "functools"})
+    assert "json" in imported  # the walk sees the module's imports

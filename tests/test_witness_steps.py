@@ -1,23 +1,22 @@
 """The witness steps against the plain simulator path, bit for bit, and the
 slices they compile.
 
-``kill_step`` and ``verify_kill`` reach the kernel only through the
-``PartialState`` entry points (``apply_layer``, ``extend_zeros``,
-``project_zeros``, ``restricted_probability``). Those skip work that cannot
-change a bit: a layer with no gates, a second norm check of a state the
-kernel has checked, an index table that maps a state onto itself. The
-reference below does all of it: every layer, empty ones too, is compiled and
-run by ``compile_layers(...).apply``, every state is rebuilt and re-checked
-by the ``PartialState`` constructor, every projection gathers through
-``index_map``, and every reading sums the two einsums of the kernel's
-probability. The construction's entries come from ``_next_entry`` on both
-sides; what is compared is the arithmetic on the witness.
+``kill_base``, ``kill_step`` and ``verify_kill`` reach the kernel only
+through the ``PartialState`` entry points (``apply_layer``,
+``extend_zeros``, ``project_zeros``, ``restricted_probability``). Those skip
+work that cannot change a bit: a layer with no gates, a second norm check of
+a state the kernel has checked, an index table that maps a state onto
+itself. The reference below does all of it: every layer, empty ones too, is
+compiled and run by ``compile_layers(...).apply``, every state is rebuilt
+and re-checked by the ``PartialState`` constructor, every projection gathers
+through ``index_map``, and every reading sums the two einsums of the
+kernel's probability. The construction's entries come from ``_next_entry``
+on both sides; what is compared is the arithmetic on the witness.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -78,11 +77,8 @@ def plain_reading(s: PartialState, wire: int) -> float:
 
 def plain_kill_base(c, mode) -> PartialState:
     entry, inside = _next_entry(c, mode, ())
-    zero = np.array([1.0, 0.0], dtype=complex)
-    factors = dict.fromkeys(entry.committed, zero)
-    for g in inside:
-        factors[g.wire] = g.u.conj().T @ zero
-    return functools.reduce(plain_tensor, (PartialState((w,), factors[w]) for w in entry.committed))
+    psi = plain_apply_layer(Layer(map(adjoint_gate, inside)), PartialState.zero(entry.committed))
+    return plain_extend_zeros(psi, entry.fresh)
 
 
 def plain_verify_kill(c, s) -> VerifyKillResult:
@@ -175,10 +171,10 @@ def test_witness_steps_match_the_plain_path_bit_for_bit():
 
 
 def test_witness_steps_compile_one_slice_per_step_with_gates_inside(monkeypatch):
-    """On the kill-campaign seed-0 pool, ``kill_run`` compiles one single-layer
-    slice for each step after the first whose layer has gates inside K (the
-    first step sets each wire's factor directly), and ``verify_kill`` one for
-    each step with such gates; a step without them compiles nothing."""
+    """On the kill-campaign seed-0 pool, ``kill_run`` and ``verify_kill``
+    each compile one single-layer slice for each step whose layer has gates
+    inside K, the output layer's included; a step without them compiles
+    nothing."""
     compiled = []
     original = sim.compile_layers
 
@@ -195,7 +191,7 @@ def test_witness_steps_compile_one_slice_per_step_with_gates_inside(monkeypatch)
             built = len(compiled)
             assert verify_kill(c, s).ok
             with_gates = [bool(_next_entry(c, mode, s.history[:k])[1]) for k in range(c.depth())]
-            assert built == sum(with_gates[1:])
+            assert built == sum(with_gates)
             assert len(compiled) - built == sum(with_gates)
             assert set(compiled) <= {1}
             empty_steps += with_gates.count(False)
