@@ -67,10 +67,10 @@ print()
 
 # Since K missed some input wire, the circuit ignores it -- parity would not.
 # The certificate is the kill history alone: the witness it implies meets
-# every pin, so it stores the circuit's readings as the proven 0.
+# every pin, so the circuit's readings are proven to be 0, not stored.
 cert = parity_certificate(c, "improved")
 print(f"verdict: {cert.verdict}, free input wire {cert.free_input}")
-print(f"circuit readings on the two test inputs: {cert.readings}")
+print(f"circuit readings on the two test inputs: {cert.readings} (proven, not stored)")
 # The flipped input has one more set bit, so parity's two readings sum to 1.
 print("parity readings on the same inputs:      sum to 1, so one is at least 1/2")
 print(f"independent recheck of the certificate:  {recheck_certificate(cert, c)}")

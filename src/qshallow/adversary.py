@@ -25,8 +25,9 @@ flipping it cannot move the target reading away from 0, while the parity
 operator's reading always flips, so the circuit provably does not compute
 parity. :func:`parity_certificate` builds a :class:`KillCertificate` from
 the history alone, and :func:`recheck_certificate` checks a serialized one
-with integers alone: its history must be the construction's. Neither
-simulates anything; the witness and its replay are the numeric oracle.
+against the circuit it is handed, with integers alone: its history must be
+the construction's on that circuit. Neither simulates anything; the witness
+and its replay are the numeric oracle.
 
 Layer bookkeeping uses application-order indices (``layers[0]`` first);
 the step counter k walks from the output layer (k = 1) toward the input
@@ -37,13 +38,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Literal, get_args
 
 from ._version import __version__
-from .circuits import Circuit, Gate, Layer, ZGate, circuit_sha256, is_single_qubit_z_circuit
-from .circuits import rewrite_toffoli_to_z
+from .circuits import Circuit, Gate, Layer, ZGate, is_single_qubit_z_circuit, rewrite_toffoli_to_z
 from .reference import OpKind, analyzed_circuit
 from .sim import READING_TOL, PartialState, adjoint_gate, apply_layer
 from .sim import run  # noqa: F401  (kept in this namespace for callers that patch or trace it)
@@ -319,10 +318,17 @@ class KillCertificate:
     recruit), and only Z-gates killed on it touch it up to its kill. So the
     target reads exactly 0 on both test inputs, all-zeros over the
     uncommitted wires and the same with ``free_input`` flipped, each
-    tensored with the witness; ``readings`` holds that proven 0 once per
-    input, ``(0.0, 0.0)``. The parity operator's readings on the two inputs
-    sum to 1, as the flipped input has one more set bit, so one of them is
-    at least 1/2, far from the circuit's.
+    tensored with the witness; the ``readings`` property derives that
+    proven 0 once per input, ``(0.0, 0.0)``, and the document holds no
+    float. The parity operator's readings on the two inputs sum to 1, as
+    the flipped input has one more set bit, so one of them is at least 1/2,
+    far from the circuit's.
+
+    The argument reads only each gate's wires and whether it is a Z-gate: a
+    Z-gate pinned at |0> is the identity whatever the single-qubit gates
+    are. So the certificate binds no circuit hash: it proves the same of
+    every circuit on which its history is the construction's, every circuit
+    of its circuit's gate layout among them.
 
     Replayed to the output, the witness also leaves every ancilla at |0>,
     where it started as |0...0> on K_1. A circuit that cleanly computes
@@ -343,20 +349,24 @@ class KillCertificate:
     """
 
     version: str
-    circuit_sha256: str
     against: OpKind
     mode: Mode
     history: tuple[KillHistoryEntry, ...]
     free_input: int | None
-    readings: tuple[float, float] | None
     verdict: str  # "not-parity" | "not-fanout" | "inconclusive"
+
+    @property
+    def readings(self) -> tuple[float, float] | None:
+        """The target's proven readings on the two flip inputs, or None with
+        no free input."""
+        return None if self.free_input is None else (0.0, 0.0)
 
     def __post_init__(self) -> None:
         def require(holds: bool, rule: str) -> None:
             if not holds:
                 raise ValueError(f"malformed kill certificate: {rule}")
 
-        history, readings = self.history, self.readings
+        history = self.history
         # Each rule is tested only once the ones before it hold.
         require(self.version == __version__, f"version must be {__version__!r}")
         require(self.against in get_args(OpKind), "against must be parity or fanout")
@@ -377,11 +387,6 @@ class KillCertificate:
             ints.append(self.free_input)
         ints_ok = all(type(v) is int for v in ints)  # a bool is not an int
         require(ints_ok, "wires and history integers must be ints")
-        # A number is a float, or an int a float can hold (a bool is neither).
-        pair = type(readings) is tuple and len(readings) == 2 and all(
-            type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in readings
-        )
-        require(readings is None or pair, "readings must be None or two numbers")
 
 
 def parity_certificate(
@@ -390,22 +395,19 @@ def parity_certificate(
     """Run the construction's steps (:func:`_steps`) on the circuit the
     verdict is about, and package their history with the first free input.
     That circuit is ``analyzed_circuit(c, against)`` (for fanout the
-    Hadamard conjugate) with each Toffoli rewritten to H-Z-H, and the
-    certificate binds the hash of ``c``. Nothing is simulated, so no width
-    limit applies: the target reads exactly 0 on both flip inputs (see
-    :class:`KillCertificate`), and a decisive certificate stores that as
-    its readings, ``(0.0, 0.0)``."""
+    Hadamard conjugate) with each Toffoli rewritten to H-Z-H. Nothing is
+    simulated, so no width limit applies: the target reads exactly 0 on
+    both flip inputs (see :class:`KillCertificate`), which the history
+    proves and the certificate does not store."""
     analyzed = rewrite_toffoli_to_z(analyzed_circuit(c, against))
     history = tuple(entry for entry, _ in _steps(analyzed, mode))
     free_input = min(set(range(analyzed.n)).difference(history[-1].committed), default=None)
     return KillCertificate(
         version=__version__,
-        circuit_sha256=circuit_sha256(c),
         against=against,
         mode=mode,
         history=history,
         free_input=free_input,
-        readings=None if free_input is None else (0.0, 0.0),
         verdict="inconclusive" if free_input is None else f"not-{against}",
     )
 
@@ -434,8 +436,9 @@ def certificate_from_json(text: str) -> KillCertificate:
     of the shape. The document must be JSON, with exactly the keys
     ``format`` and the certificate's field names, and each history entry and
     kill record exactly its dataclass's fields; each list must be a JSON
-    array. Anything else raises ``ValueError("malformed kill certificate:
-    …")``. A non-finite reading parses, and fails :func:`recheck_certificate`."""
+    array. Anything else, an earlier layout's ``circuit_sha256`` or
+    ``readings`` key among it, raises ``ValueError("malformed kill
+    certificate: …")``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -447,8 +450,6 @@ def certificate_from_json(text: str) -> KillCertificate:
         if not isinstance(obj, dict) or obj.keys() != {"format", *names}:
             raise ValueError(f"expected an object with exactly the keys format, {', '.join(names)}")
         values = {name: obj[name] for name in names}
-        if values["readings"] is not None:
-            values["readings"] = _array(values["readings"])
         # The dataclasses refuse a history entry or kill record with a missing or extra key.
         values["history"] = tuple(
             KillHistoryEntry(**{
@@ -467,18 +468,16 @@ def certificate_from_json(text: str) -> KillCertificate:
 
 
 def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
-    """Check what a well-formed certificate claims about a circuit, with
-    integers alone (nothing is simulated). Its hash must be the circuit's;
-    its history must have one entry per layer of the circuit the verdict is
-    about (as :func:`parity_certificate` picks it) and be exactly the
-    construction's (:func:`_replayed_steps`), whose witness meets every pin
-    (see :class:`KillCertificate`); and its verdict must be inconclusive,
-    with no free input or readings and every input in the last K, or
-    ``not-{against}``, with an input outside the last K as free input and
-    both readings within ``READING_TOL`` of 0. The parity operator's
-    readings need no check: on the flip pair they sum to 1."""
-    if circuit_sha256(c) != cert.circuit_sha256:
-        return False
+    """Check what a well-formed certificate claims about the circuit it is
+    handed, with integers alone (nothing is simulated). Its history must
+    have one entry per layer of the circuit the verdict is about (as
+    :func:`parity_certificate` picks it) and be exactly the construction's
+    on it (:func:`_replayed_steps`), whose witness meets every pin (see
+    :class:`KillCertificate`); and its verdict must be inconclusive, with
+    no free input and every input in the last K, or ``not-{against}``, with
+    an input outside the last K as free input. So a certificate rechecks on
+    every circuit of its circuit's gate layout, whatever their single-qubit
+    gates, and on any circuit it rechecks on, the verdict holds."""
     analyzed = rewrite_toffoli_to_z(analyzed_circuit(c, cert.against))
     if (
         not 0 < len(cert.history) == analyzed.depth()
@@ -487,9 +486,6 @@ def recheck_certificate(cert: KillCertificate, c: Circuit) -> bool:
     ):
         return False
     free_inputs = set(range(analyzed.n)).difference(cert.history[-1].committed)
-    if cert.verdict == "inconclusive":  # no claims, and no input outside the last K
-        return (cert.free_input, cert.readings) == (None, None) and not free_inputs
-    if cert.free_input not in free_inputs or cert.readings is None:
-        return False
-    # Written so that a NaN or an infinity fails it.
-    return all(abs(v) <= READING_TOL for v in cert.readings)
+    if cert.verdict == "inconclusive":  # no claim, and no input outside the last K
+        return cert.free_input is None and not free_inputs
+    return cert.free_input in free_inputs

@@ -5,9 +5,10 @@ produces: ``certificate_to_json`` of a kill certificate, or ``repr`` of a
 lightcone counterexample pair. The test regenerates every case and compares
 the text character for character, so any change to a certificate or a pair
 shows up, down to the last digit of a pair's reading. A certificate holds no
-computed float: its readings are the proven 0, exactly. The numeric oracle
-under the integer recheck runs here too: each golden certificate's witness,
-rebuilt by the construction, must replay to its stored readings.
+float at all: the target readings it proves are 0, exactly, and are not
+stored. The numeric oracle under the integer recheck runs here too: each
+golden certificate's witness, rebuilt by the construction, must replay to
+those proven readings.
 
 Regenerate the data (only for a change that is meant to alter the bytes, such
 as a change to the kill rule or to the document, and say so in the change
@@ -138,8 +139,8 @@ def golden_certificates():
 def test_the_witness_replay_confirms_every_golden_certificate():
     """The numeric oracle under the integer recheck: for every golden
     certificate the construction's witness replays ok, to the stored
-    history, and each stored reading lies within ``READING_TOL`` of the
-    replay's final target reading."""
+    history, and each proven reading (``KillCertificate.readings``) lies
+    within ``READING_TOL`` of the replay's final target reading."""
     count = 0
     for case, analyzed, _, obj in golden_certificates():
         cert = certificate_from_json(json.dumps(obj))
@@ -151,14 +152,19 @@ def test_the_witness_replay_confirms_every_golden_certificate():
     assert count == 187
 
 
-def test_every_golden_reading_is_the_proven_zero():
-    """A certificate stores the readings the kill history proves, not
-    simulated ones: null for an inconclusive verdict, else exactly 0 on both
-    flip inputs, so float rounding cannot change a golden byte."""
-    readings = [obj["readings"] for _, _, _, obj in golden_certificates()]
-    assert len(readings) == 187
-    assert all(r is None or json.dumps(r) == "[0.0, 0.0]" for r in readings)
-    assert readings.count(None) == 22
+def test_no_golden_certificate_holds_a_float():
+    """A certificate is integers and words: parsing any golden certificate
+    document never meets a float, so float rounding cannot change a golden
+    byte."""
+
+    def refuse(text):
+        raise AssertionError(f"a certificate holds the float {text}")
+
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    texts = [t for name, t in golden.items() if name.startswith("certificate ") and t[0] == "{"]
+    assert len(texts) == 187
+    for text in texts:
+        json.loads(text, parse_float=refuse)
 
 
 def test_verdict_bytes_match_golden_data():

@@ -6,8 +6,8 @@ one another only where ``adversary`` re-exports ``robust_check``. Each
 vocabulary (operator kind, kill mode, kill justification) is one ``Literal``,
 and every list of its values, the CLI's choices included, is derived from it.
 The kill certificate's fields are its document's schema, and neither its
-build nor its recheck simulates anything; the gate-killing module leaves all
-amplitude arithmetic to ``sim``.
+build nor its recheck simulates anything or hashes the circuit; the
+gate-killing module leaves all amplitude arithmetic to ``sim``.
 """
 
 import ast
@@ -21,6 +21,7 @@ import pytest
 
 import qshallow
 import qshallow.adversary as adversary
+import qshallow.circuits as circuits
 import qshallow.sim as sim
 from qshallow import (
     KillCertificate,
@@ -120,22 +121,22 @@ def test_the_certificate_document_is_its_fields_in_order(certified):
 
 
 def test_a_document_of_the_earlier_layout_is_malformed(certified):
-    """The layout with a nested witness and the parity operator's readings
-    and ancilla flag stored is refused, not read."""
+    """The earlier layouts are refused, not read: the one with a nested
+    witness and the parity operator's readings and ancilla flag stored, and
+    the one that bound the circuit's hash and stored the proven readings."""
     _, cert = certified
     obj = json.loads(certificate_to_json(cert))
-    head = ("format", "version", "circuit_sha256", "against", "mode", "history")
-    earlier = {
-        **{k: obj[k] for k in head},
-        "witness": {"wires": obj["history"][-1]["committed"], "amps": [[1.0, 0.0]]},
-        "free_input": obj["free_input"],
-        "readings": obj["readings"],
-        "reference_readings": [0.0, 1.0],
-        "ancilla_consistency": True,
-        "verdict": obj["verdict"],
-    }
-    with pytest.raises(ValueError, match="^malformed kill certificate: "):
-        certificate_from_json(json.dumps(earlier, indent=1))
+    head = {k: obj[k] for k in ("format", "version")}
+    head["circuit_sha256"] = "0" * 64
+    head.update({k: obj[k] for k in ("against", "mode", "history")})
+    tail = {"free_input": obj["free_input"], "readings": [0.0, 0.0]}
+    witness = {"wires": obj["history"][-1]["committed"], "amps": [[1.0, 0.0]]}
+    nested = {**head, "witness": witness, **tail, "reference_readings": [0.0, 1.0]}
+    nested["ancilla_consistency"] = True
+    for earlier in (nested, {**head, **tail}):
+        earlier["verdict"] = obj["verdict"]
+        with pytest.raises(ValueError, match="^malformed kill certificate: "):
+            certificate_from_json(json.dumps(earlier, indent=1))
 
 
 def test_a_certificate_with_an_empty_history_fails_the_recheck(certified):
@@ -150,10 +151,11 @@ def test_a_certificate_with_an_empty_history_fails_the_recheck(certified):
 
 
 def test_the_recheck_simulates_nothing(monkeypatch):
-    """Building and rechecking a certificate are integer work: with the
-    witness replay, the layer application, the slice compiler and the
-    compiled kernel refused, ``parity_certificate`` still rebuilds every
-    golden certificate byte for byte, and the recheck accepts each."""
+    """Building and rechecking a certificate are integer work that reads no
+    gate matrix: with the witness replay, the layer application, the slice
+    compiler, the compiled kernel, the circuit serializer and the circuit
+    hash refused, ``parity_certificate`` still rebuilds every golden
+    certificate byte for byte, and the recheck accepts each."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate path simulated")
@@ -162,6 +164,8 @@ def test_the_recheck_simulates_nothing(monkeypatch):
     monkeypatch.setattr(adversary, "verify_kill", refuse)
     monkeypatch.setattr(sim, "compile_layers", refuse)
     monkeypatch.setattr(sim.CompiledLayers, "apply", refuse)
+    monkeypatch.setattr(circuits, "serialize_circuit", refuse)
+    monkeypatch.setattr(circuits, "circuit_sha256", refuse)
     certificates = list(golden_certificates())
     assert len(certificates) == 187
     for case, _, c, obj in certificates:
